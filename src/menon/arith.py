@@ -138,5 +138,6 @@ def tau2_explicit(n: int) -> int:
     for _, a in pairs:
         prod *= (a + 1) * (a + 2)
     q, rem = divmod(prod, 2 ** len(pairs))
-    assert rem == 0, f"2^s does not divide the exponent product for n={n}"
+    if rem:
+        raise AssertionError(f"2^s does not divide the exponent product for n={n}")
     return q

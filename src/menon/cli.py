@@ -11,7 +11,8 @@ burnside and chains records is always 0.0, and wall-clock timing is
 reported by bench only. Budget refusals are diagnostics on stderr, never
 partial records.
 
-Exit codes: 0 ok, 1 mismatch, 2 budget refusal, 3 overflow, 64 usage.
+Exit codes: 0 ok, 1 mismatch, 2 budget refusal, 64 usage, 70 internal
+error (any uncaught exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from .arith import tau2_explicit, tau_r_closed, tau_r_recursive
@@ -37,8 +39,8 @@ from .identity import IdentityReport, lhs_star, verify_star
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_REFUSED = 2
-EXIT_OVERFLOW = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE: a bug, never a verdict on the identity
 
 VERIFY_FIELDS = ("n", "r", "lhs", "rhs", "group_size", "matched", "elapsed_s", "shards")
 BURNSIDE_FIELDS = ("n", "r", "burnside_count", "unionfind_count", "chain_count", "tau_r", "agree")
@@ -313,9 +315,10 @@ def main(argv=None) -> int:
         stream = sys.stdout
     try:
         return command(cfg, stream)
-    except OverflowError as exc:
-        print(f"menon: overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
+    except Exception:
+        traceback.print_exc()
+        print("menon: internal error", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         if cfg.out:
             stream.close()

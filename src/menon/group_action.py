@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
-from itertools import product
-from math import gcd
+from functools import cache, lru_cache
+from itertools import islice, product
+from math import gcd, lcm, prod
 
 from .arith import divisors, euler_phi
 
@@ -46,7 +46,9 @@ def _check_budget(op: str, estimated_ops: int, budget: int, size: int) -> None:
         )
 
 
-@cache
+# Sweeps visit n in order, so a few entries keep every hit within one n
+# while memory stays flat across a long range of moduli.
+@lru_cache(maxsize=8)
 def units(n: int) -> tuple[int, ...]:
     """Residues in [0, n) coprime to n, ascending. units(1) = (0,)."""
     if n < 1:
@@ -310,19 +312,129 @@ def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
-    n, r, lo, hi = args
-    from .identity import _fixed_count_cells
+def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Cyclic decomposition of Z_n^k / (mat Z_n^k). Consumes mat.
 
+    Integer row/column elimination (unimodular operations) brings mat to
+    diagonal form D = U mat V, with the row operations tracked in U. Then
+    the cokernel is the direct sum of Z/d_i with d_i = gcd(n, D_ii), so:
+
+      * the kernel of mat over Z_n has prod(d) elements;
+      * v lies in the image exactly when (U v)_i = 0 mod d_i for every i;
+      * the order of v in the cokernel is lcm_i d_i / gcd(d_i, (U v)_i).
+
+    U is returned reduced mod n, which every d_i divides.
+    """
+    k = len(mat)
+    U = [[int(i == j) for j in range(k)] for i in range(k)]
+    d = []
+    for t in range(k):
+        piv = None
+        pv = 0
+        for i in range(t, k):
+            row = mat[i]
+            for j in range(t, k):
+                v = row[j]
+                if v and (piv is None or -pv < v < pv):
+                    piv = (i, j)
+                    pv = v if v > 0 else -v
+            if pv == 1:  # cannot do better; also makes every division exact
+                break
+        if piv is None:  # the rest of mat is zero: each remaining factor is Z/n
+            d += [n] * (k - t)
+            break
+        pi, pj = piv
+        if pi != t:
+            mat[t], mat[pi] = mat[pi], mat[t]
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            for row in mat:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            restart = False
+            for i in range(t + 1, k):
+                if mat[i][t]:
+                    q = mat[i][t] // mat[t][t]
+                    mi, mt = mat[i], mat[t]
+                    for j in range(t, k):
+                        mi[j] -= q * mt[j]
+                    ui, ut = U[i], U[t]
+                    for j in range(k):
+                        ui[j] -= q * ut[j]
+                    if mi[t]:
+                        mat[t], mat[i] = mat[i], mat[t]
+                        U[t], U[i] = U[i], U[t]
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, k):
+                if mat[t][j]:
+                    q = mat[t][j] // mat[t][t]
+                    for i in range(t, k):
+                        mat[i][j] -= q * mat[i][t]
+                    if mat[t][j]:
+                        for i in range(t, k):
+                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
+                        restart = True
+                        break
+            if not restart:
+                break
+        d.append(gcd(n, mat[t][t]))
+    return d, [[u % n for u in row] for row in U]
+
+
+def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
+    """Sum of |X^g| over the elements lo..hi-1, each element its own term.
+
+    With M = A - I over Z_n, M' its leading (r-1) x (r-1) block, c the last
+    column above the diagonal, g_r = gcd(n, a_rr - 1) and h = n / g_r:
+
+        |X^g| = |ker M'| * g_r / ord(h c in coker M')
+
+    because x_r = t h for t in Z_{g_r}, and x' then exists (in |ker M'|
+    ways) exactly when t h c lies in the image of M'. The last enumeration
+    digit (r = 2) or two (r >= 3) are entries of c, so each leading block is
+    reduced once by _cokernel, and across its run of n or n^2 elements
+    (U h c)_i mod d_i is affine in those digits.
+    """
+    n, r, lo, hi = args
+    if r == 1:
+        return sum(gcd(n, u - 1) for u in units(n)[lo:hi])
+    k = r - 1
+    tail = 1 if r == 2 else 2  # trailing digits, all entries of c
+    run = n**tail
+    ps = range(n) if tail == 2 else (0,)
     upper = _upper_index(r)
+    leads = product(*_pools(n, r)[:-tail])
+    first = lo // run
     total = 0
-    for cells in _iter_cells(n, r, lo, hi):
-        total += _fixed_count_cells(n, r, cells, upper)
+    for b, lead in enumerate(islice(leads, first, -(-hi // run)), first):
+        mat = [
+            [(lead[i] - 1) % n if i == j else (lead[upper[i][j]] if i < j else 0) for j in range(k)]
+            for i in range(k)
+        ]
+        d, U = _cokernel(n, mat)
+        g_r = gcd(n, lead[k] - 1)
+        h = n // g_r
+        fixed = [lead[upper[i][k]] for i in range(k - tail)]
+        orders = [1] * run  # ord(h c) over the run, one component at a time
+        for row, di in zip(U, d):
+            if di == 1:
+                continue
+            base = h * sum(u * c for u, c in zip(row, fixed)) % di
+            sp = h * row[-2] % di if tail == 2 else 0
+            sq = h * row[-1] % di
+            order_of = [di // gcd(di, w) for w in range(di)]
+            column = [order_of[(base + p * sp + q * sq) % di] for p in ps for q in range(n)]
+            orders = list(map(lcm, orders, column))
+        start, stop = max(lo - b * run, 0), min(hi - b * run, run)
+        total += prod(d) * sum(g_r // o for o in orders[start:stop])
     return total
 
 
 def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
-    """Sum of |X^g| over the whole group, one factor product per element.
+    """Sum of |X^g| over the whole group, one term per element.
 
     The index space is split into `shards` contiguous ranges; each shard is
     a pure fold and the shard totals are summed in shard order, so the

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from . import group_action
 from .arith import euler_phi, tau, tau_r_recursive
-from .group_action import DEFAULT_BUDGET, UpperTriangularMatrix, group_size, units
+from .group_action import DEFAULT_BUDGET, UpperTriangularMatrix, _cokernel, group_size, units
 
 
 @dataclass(frozen=True)
@@ -42,66 +42,19 @@ class IdentityReport:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        assert self.matched == (self.lhs == self.rhs)
+        if self.matched != (self.lhs == self.rhs):
+            raise AssertionError(
+                f"report says matched={self.matched} but lhs={self.lhs}, rhs={self.rhs}"
+            )
 
 
 def _solution_count(n: int, mat: list[list[int]]) -> int:
     """Number of x in Z_n^k with mat @ x = 0 (mod n). Consumes mat.
 
-    Integer row/column elimination (unimodular operations, which preserve
-    the solution count) brings mat to diagonal form; a diagonal system
-    d_t x_t = 0 has gcd(n, d_t) solutions per coordinate.
+    The kernel of an endomorphism of a finite group has the size of its
+    cokernel, the product of the cyclic factors found by _cokernel.
     """
-    k = len(mat)
-    count = 1
-    for t in range(k):
-        piv = None
-        pv = 0
-        for i in range(t, k):
-            row = mat[i]
-            for j in range(t, k):
-                v = row[j]
-                if v and (piv is None or -pv < v < pv):
-                    piv = (i, j)
-                    pv = v if v > 0 else -v
-            if pv == 1:  # cannot do better; also makes every division exact
-                break
-        if piv is None:
-            return count * n ** (k - t)
-        pi, pj = piv
-        if pi != t:
-            mat[t], mat[pi] = mat[pi], mat[t]
-        if pj != t:
-            for row in mat:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            restart = False
-            for i in range(t + 1, k):
-                if mat[i][t]:
-                    q = mat[i][t] // mat[t][t]
-                    mi, mt = mat[i], mat[t]
-                    for j in range(t, k):
-                        mi[j] -= q * mt[j]
-                    if mi[t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, k):
-                if mat[t][j]:
-                    q = mat[t][j] // mat[t][t]
-                    for i in range(t, k):
-                        mat[i][j] -= q * mat[i][t]
-                    if mat[t][j]:
-                        for i in range(t, k):
-                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
-                        restart = True
-                        break
-            if not restart:
-                break
-        count *= gcd(n, mat[t][t])
-    return count
+    return prod(_cokernel(n, mat)[0])
 
 
 def _leading_fixed_count(n: int, cells, upper, k: int) -> int:
@@ -123,12 +76,6 @@ def _leading_fixed_count(n: int, cells, upper, k: int) -> int:
         for i in range(k)
     ]
     return _solution_count(n, mat)
-
-
-def _fixed_count_cells(n: int, r: int, cells, upper) -> int:
-    # Hot path for the sweeps: |X^g| = product of the d_k, computed in one
-    # shot as the full fixed-point count.
-    return _leading_fixed_count(n, cells, upper, r)
 
 
 def compute_dk(g: UpperTriangularMatrix, k: int) -> int:
@@ -155,7 +102,8 @@ def compute_dk(g: UpperTriangularMatrix, k: int) -> int:
     below = _leading_fixed_count(g.n, g.cells, upper, k - 1)
     count = _leading_fixed_count(g.n, g.cells, upper, k)
     dk, rem = divmod(count, below)
-    assert rem == 0, f"leading-block counts {count}/{below} not divisible for g={g}"
+    if rem:
+        raise AssertionError(f"leading-block counts {count}/{below} not divisible for g={g}")
     return dk
 
 

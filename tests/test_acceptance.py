@@ -25,6 +25,7 @@ from menon.arith import (
     tau_r_recursive,
 )
 from menon.group_action import (
+    DEFAULT_BUDGET,
     ResidueVector,
     count_chains,
     divisor_chain,
@@ -96,11 +97,11 @@ def test_criterion_2_r2_identity():
 
 
 def test_criterion_3_r3_identity():
-    # group_size(n, 3) <= 10^6 gives {1..10, 12, 14}; 11 is swept regardless
-    # so the whole block 1..12 is covered.
-    domain = sorted(set(range(1, 13)) | {n for n in range(1, 31) if group_size(n, 3) <= 10**6})
+    # Every n <= 20 whose r = 3 sweep the default budget admits; 17 and 19
+    # have groups of 2.0e7 and 4.0e7 elements and are refused.
+    domain = [n for n in range(1, 21) if group_size(n, 3) * 3 * 3 <= DEFAULT_BUDGET]
     with criterion(3, f"r = 3 identity exact for n in {domain} (8 shards)"):
-        assert domain == [*range(1, 13), 14]
+        assert domain == [*range(1, 17), 18, 20]
         for n in domain:
             rep = verify_star(n, 3, shards=8)
             assert rep.matched, f"n={n}: lhs={rep.lhs} rhs={rep.rhs}"

@@ -258,11 +258,13 @@ def test_tau_path_disagreement_exits_1(capsys, monkeypatch):
     assert code == EXIT_MISMATCH and "disagreement" in err
 
 
-def test_overflow_maps_to_exit_3(capsys, monkeypatch):
-    # unreachable with exact integers; the handler is pinned via a fake
+def test_internal_error_maps_to_exit_70(capsys, monkeypatch):
+    # an uncaught exception is a bug, kept apart from a mismatch (exit 1)
     def blow_up(n, r, budget, shards):
-        raise OverflowError("forced")
+        raise RuntimeError("forced")
 
     monkeypatch.setattr(cli, "verify_star", blow_up)
-    code, _, err = run_cli(capsys, "verify", "--n", "2..2", "--r", "1")
-    assert code == cli.EXIT_OVERFLOW and "overflow" in err
+    code, out, err = run_cli(capsys, "verify", "--n", "2..2", "--r", "1")
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert "RuntimeError: forced" in err and "internal error" in err

@@ -6,7 +6,7 @@ the enumeration/odometer machinery under test.
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,8 @@ from menon.group_action import (
     DivisorChain,
     ResidueVector,
     UpperTriangularMatrix,
+    _cokernel,
+    _fixed_point_sum_shard,
     _shard_bounds,
     apply,
     count_chains,
@@ -255,6 +257,62 @@ def test_sampled_equivalence_on_instance_too_big_for_full_sweep():
     assert group_size(10, 3) * 10**3 > 10**7
     checked = sample_fixed_point_check(10, 3, 1000, seed=0)
     assert len(checked) == 1000
+
+
+# --- the sweep kernel ------------------------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 8), k=st.integers(1, 3), data=st.data())
+def test_cokernel_matches_brute_force_on_arbitrary_matrices(n, k, data):
+    rows = [[data.draw(st.integers(-n, 2 * n)) for _ in range(k)] for _ in range(k)]
+    d, U = _cokernel(n, [row[:] for row in rows])
+    space = list(product(range(n), repeat=k))
+
+    def image_of(x):
+        return tuple(sum(rows[i][j] * x[j] for j in range(k)) % n for i in range(k))
+
+    image = {image_of(x) for x in space}
+    assert prod(d) == sum(1 for x in space if not any(image_of(x)))
+    for v in space:
+        w = [sum(U[i][j] * v[j] for j in range(k)) for i in range(k)]
+        assert all(wi % di == 0 for wi, di in zip(w, d)) == (v in image)
+        order = next(t for t in range(1, n + 1) if tuple(t * x % n for x in v) in image)
+        assert lcm(*(di // gcd(di, wi) for wi, di in zip(w, d))) == order
+
+
+def sweep(n, r, lo, hi):
+    return _fixed_point_sum_shard((n, r, lo, hi))
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(n, 1) for n in range(1, 31)]
+    + [(n, 2) for n in range(1, 13)]
+    + [(n, 3) for n in range(1, 7)]
+    + [(n, 4) for n in range(1, 4)],
+)
+def test_sweep_kernel_term_is_the_direct_count_for_every_element(n, r):
+    for i in range(group_size(n, r)):
+        assert sweep(n, r, i, i + 1) == fixed_points_direct(element_at(n, r, i)), i
+
+
+@settings(max_examples=200)
+@given(r=st.integers(1, 4), data=st.data())
+def test_sweep_kernel_splits_at_any_cut(r, data):
+    n = data.draw(st.integers(1, {1: 40, 2: 10, 3: 6, 4: 3}[r]))
+    size = group_size(n, r)
+    lo, cut, hi = sorted(data.draw(st.integers(0, size)) for _ in range(3))
+    assert sweep(n, r, lo, cut) + sweep(n, r, cut, hi) == sweep(n, r, lo, hi)
+
+
+@pytest.mark.parametrize("n, r, run", [(4, 2, 4), (4, 3, 16)])
+def test_sweep_kernel_splits_inside_every_inner_run(n, r, run):
+    # the last one (r = 2) or two (r >= 3) digits form runs of n or n^2
+    # elements that share one reduced leading block
+    total = sweep(n, r, 0, 3 * run)
+    for cut in range(3 * run + 1):
+        assert sweep(n, r, 0, cut) + sweep(n, r, cut, 3 * run) == total
 
 
 # --- Burnside, orbits, chains ----------------------------------------------------------

@@ -1,5 +1,8 @@
 """The per-column factors, the exhaustive sweep, the closed form, reports."""
 
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -15,6 +18,7 @@ from menon.group_action import (
     enumerate_group,
     fixed_points_direct,
     group_size,
+    units,
 )
 from menon.identity import (
     IdentityReport,
@@ -186,3 +190,28 @@ def test_report_consistency_assertion():
         IdentityReport(
             n=2, r=1, lhs=3, rhs=4, group_size=1, matched=True, elapsed=0.0, shards=1
         )
+
+
+def test_report_consistency_check_survives_python_O():
+    # the leading bare assert shows that -O really strips asserts
+    code = (
+        "assert False\n"
+        "from menon.identity import IdentityReport\n"
+        "IdentityReport(n=2, r=1, lhs=3, rhs=4, group_size=1, matched=True, elapsed=0.0, shards=1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode != 0
+    assert b"AssertionError: report says matched=True" in proc.stderr
+
+
+def test_sweep_memory_stays_flat_across_moduli():
+    # units(n) of every swept n once stayed cached: ~N^2 growth over a range
+    units.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(1, 3001):
+            assert verify_star(n, 1).matched
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
