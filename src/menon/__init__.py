@@ -23,21 +23,21 @@ from .group_action import (
     divisor_chain,
     element_at,
     enumerate_group,
-    fixed_point_count_formula,
     fixed_points_direct,
     group_size,
     matmul,
     orbit_count_burnside,
     orbits_brute_force,
-    sample_fixed_point_check,
     units,
 )
 from .identity import (
     IdentityReport,
     compute_dk,
+    fixed_point_count_formula,
     lhs_star,
     menon_classic,
     rhs_star,
+    sample_fixed_point_check,
     verify_star,
 )
 

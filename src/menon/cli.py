@@ -58,7 +58,6 @@ class RunConfig:
     r: int
     budget: int = DEFAULT_BUDGET
     shards: int = 1
-    seed: int = 0
     fmt: str = "json"
     out: str | None = None
 
@@ -276,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", required=True, type=int, help="matrix dimension r >= 1")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max estimated elementary operations per call")
-        p.add_argument("--shards", type=int, default=1, help="worker count for sweeps")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled cross-checks")
+        p.add_argument("--shards", type=int, default=1,
+                       help="shards per sweep, run on min(shards, CPUs) workers")
         p.add_argument("--format", choices=("json", "csv"),
                        default=None, dest="fmt", help="record format")
         p.add_argument("--out", default=None, help="write records to this path instead of stdout")
@@ -297,7 +296,6 @@ def main(argv=None) -> int:
             r=args.r,
             budget=args.budget,
             shards=args.shards,
-            seed=args.seed,
             fmt=fmt,
             out=args.out,
         )

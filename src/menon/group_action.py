@@ -1,7 +1,7 @@
 """The group of invertible upper-triangular r x r matrices over Z_n, its
-action on the column space Z_n^r, fixed-point counting (direct and via the
-per-column factor product), Burnside orbit counting, brute-force orbit
-partitioning, and the divisor-chain orbit invariant.
+action on the column space Z_n^r, direct fixed-point counting, the
+fixed-point sweep and its elimination routine, Burnside orbit counting,
+brute-force orbit partitioning, and the divisor-chain orbit invariant.
 
 Enumeration order is fixed and documented: the diagonal entries run over
 the units of Z_n ascending, most significant first, followed by the strict
@@ -12,7 +12,7 @@ bit-identical results for any shard count.
 
 from __future__ import annotations
 
-import random
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -289,16 +289,6 @@ def fixed_points_direct(g: UpperTriangularMatrix, budget: int = DEFAULT_BUDGET) 
     return _count_fixed(g.rows(), n, r)
 
 
-def fixed_point_count_formula(g: UpperTriangularMatrix) -> int:
-    """|X^g| as the product of the per-column factors d_k."""
-    from .identity import compute_dk
-
-    out = 1
-    for k in range(1, g.r + 1):
-        out *= compute_dk(g, k)
-    return out
-
-
 def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -310,6 +300,19 @@ def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def _leading_block(n: int, r: int, cells, k: int) -> list[list[int]]:
+    """The leading k x k block of A - I over Z_n, as fresh lists.
+
+    cells is the cells layout of an r x r element; any prefix of it that
+    holds the block's entries will do.
+    """
+    upper = _upper_index(r)
+    return [
+        [(cells[i] - 1) % n if i == j else (cells[upper[i][j]] if i < j else 0) for j in range(k)]
+        for i in range(k)
+    ]
 
 
 def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -410,11 +413,7 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     first = lo // run
     total = 0
     for b, lead in enumerate(islice(leads, first, -(-hi // run)), first):
-        mat = [
-            [(lead[i] - 1) % n if i == j else (lead[upper[i][j]] if i < j else 0) for j in range(k)]
-            for i in range(k)
-        ]
-        d, U = _cokernel(n, mat)
+        d, U = _cokernel(n, _leading_block(n, r, lead, k))
         g_r = gcd(n, lead[k] - 1)
         h = n // g_r
         fixed = [lead[upper[i][k]] for i in range(k - tail)]
@@ -433,20 +432,27 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     return total
 
 
+@cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    # One pool per worker count for the life of the process: a sweep over
+    # many small moduli would otherwise spend its time starting workers.
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
     """Sum of |X^g| over the whole group, one term per element.
 
     The index space is split into `shards` contiguous ranges; each shard is
     a pure fold and the shard totals are summed in shard order, so the
-    result is identical for every shard count.
+    result is identical for every shard count. Shards run on a shared pool
+    of at most min(shards, CPUs) workers.
     """
     size = group_size(n, r)
     _check_budget(f"group sweep(n={n}, r={r})", size * r * r, budget, size)
     pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, shards)]
     if shards == 1:
         return _fixed_point_sum_shard(pieces[0])
-    with ProcessPoolExecutor(max_workers=shards) as pool:
-        return sum(pool.map(_fixed_point_sum_shard, pieces))
+    return sum(_pool(min(shards, os.cpu_count() or 1)).map(_fixed_point_sum_shard, pieces))
 
 
 def orbit_count_burnside(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
@@ -527,40 +533,10 @@ def count_chains(n: int, r: int) -> int:
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
 
+    @cache  # fresh per call, so memory stays bounded across calls
     def rec(m: int, depth: int) -> int:
         if depth == 0:
             return 1
         return sum(rec(m // d, depth - 1) for d in divisors(m))
 
     return rec(n, r)
-
-
-def sample_fixed_point_check(
-    n: int,
-    r: int,
-    count: int,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> list[int]:
-    """Cross-check the factor product against direct fixed-point counts
-    on `count` seeded-pseudorandomly sampled elements.
-
-    Returns the sorted enumeration indices that were checked; raises
-    AssertionError on any mismatch (it would indicate a bug).
-    """
-    size = group_size(n, r)
-    count = min(count, size)
-    cost = count * n**r * r * r
-    _check_budget(f"sampled fixed-point check(n={n}, r={r})", cost, budget, size)
-    rng = random.Random(seed)
-    indices = sorted(rng.sample(range(size), count))
-    for idx in indices:
-        g = element_at(n, r, idx)
-        formula = fixed_point_count_formula(g)
-        direct = _count_fixed(g.rows(), n, r)
-        if formula != direct:
-            raise AssertionError(
-                f"factor product {formula} != direct count {direct} "
-                f"for element #{idx} of group(n={n}, r={r})"
-            )
-    return indices

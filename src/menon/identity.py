@@ -1,7 +1,8 @@
-"""The generalized gcd-sum identity: per-column fixed-point factors d_k,
-the exhaustive left-hand sweep over the whole matrix group, the closed-form
-right-hand side, and verification reports (the classical r = 1 unit-group
-sum included).
+"""The generalized gcd-sum identity: per-column fixed-point factors d_k and
+their product, the sampled cross-check of that product against direct
+counts, the exhaustive left-hand sweep over the whole matrix group, the
+closed-form right-hand side, and verification reports (the classical r = 1
+unit-group sum included).
 
 The contract that everything downstream leans on: for every group element
 g, the product of compute_dk(g, k) over k = 1..r equals the number of
@@ -16,20 +17,30 @@ depends jointly on the lower coordinates).
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from math import gcd, prod
 
 from . import group_action
 from .arith import euler_phi, tau, tau_r_recursive
-from .group_action import DEFAULT_BUDGET, UpperTriangularMatrix, _cokernel, group_size, units
+from .group_action import (
+    DEFAULT_BUDGET,
+    UpperTriangularMatrix,
+    _check_budget,
+    _cokernel,
+    _leading_block,
+    element_at,
+    fixed_points_direct,
+    group_size,
+    units,
+)
 
 
 @dataclass(frozen=True)
 class IdentityReport:
     """Record of one identity check. lhs and rhs are exact integers;
-    matched is lhs == rhs; seed is set only when a sampled fixed-point
-    cross-check ran as part of the sweep."""
+    matched is lhs == rhs."""
 
     n: int
     r: int
@@ -39,7 +50,6 @@ class IdentityReport:
     matched: bool
     elapsed: float
     shards: int
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.matched != (self.lhs == self.rhs):
@@ -57,25 +67,18 @@ def _solution_count(n: int, mat: list[list[int]]) -> int:
     return prod(_cokernel(n, mat)[0])
 
 
-def _leading_fixed_count(n: int, cells, upper, k: int) -> int:
-    # Fixed-point count of the leading k x k block, on the raw cells layout
-    # (diagonal first, then strict upper row-major; upper is
-    # group_action._upper_index(r)). k = 0 gives the empty product 1.
+def _leading_fixed_count(g: UpperTriangularMatrix, k: int) -> int:
+    # Fixed-point count of the leading k x k block of g; k = 0 gives the
+    # empty product 1.
+    n, cells = g.n, g.cells
     if k == 0:
         return 1
     if k == 1:
         return gcd(n, cells[0] - 1)
     if k == 2:
         g1 = gcd(n, cells[0] - 1)
-        return g1 * gcd(n, n * cells[upper[0][1]] // g1, cells[1] - 1)
-    mat = [
-        [
-            (cells[i] - 1) % n if i == j else (cells[upper[i][j]] if i < j else 0)
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    return _solution_count(n, mat)
+        return g1 * gcd(n, n * g.entry(0, 1) // g1, cells[1] - 1)
+    return _solution_count(n, _leading_block(n, g.r, cells, k))
 
 
 def compute_dk(g: UpperTriangularMatrix, k: int) -> int:
@@ -98,13 +101,48 @@ def compute_dk(g: UpperTriangularMatrix, k: int) -> int:
     """
     if not 1 <= k <= g.r:
         raise ValueError(f"column index must be in 1..{g.r}, got {k}")
-    upper = group_action._upper_index(g.r)
-    below = _leading_fixed_count(g.n, g.cells, upper, k - 1)
-    count = _leading_fixed_count(g.n, g.cells, upper, k)
+    below = _leading_fixed_count(g, k - 1)
+    count = _leading_fixed_count(g, k)
     dk, rem = divmod(count, below)
     if rem:
         raise AssertionError(f"leading-block counts {count}/{below} not divisible for g={g}")
     return dk
+
+
+def fixed_point_count_formula(g: UpperTriangularMatrix) -> int:
+    """|X^g| as the product of the per-column factors d_k."""
+    return prod(compute_dk(g, k) for k in range(1, g.r + 1))
+
+
+def sample_fixed_point_check(
+    n: int,
+    r: int,
+    count: int,
+    seed: int = 0,
+    budget: int = DEFAULT_BUDGET,
+) -> list[int]:
+    """Cross-check the factor product against direct fixed-point counts
+    on `count` seeded-pseudorandomly sampled elements.
+
+    Returns the sorted enumeration indices that were checked; raises
+    AssertionError on any mismatch (it would indicate a bug).
+    """
+    size = group_size(n, r)
+    count = min(count, size)
+    cost = count * n**r * r * r
+    _check_budget(f"sampled fixed-point check(n={n}, r={r})", cost, budget, size)
+    rng = random.Random(seed)
+    indices = sorted(rng.sample(range(size), count))
+    for idx in indices:
+        g = element_at(n, r, idx)
+        formula = fixed_point_count_formula(g)
+        direct = fixed_points_direct(g, budget)
+        if formula != direct:
+            raise AssertionError(
+                f"factor product {formula} != direct count {direct} "
+                f"for element #{idx} of group(n={n}, r={r})"
+            )
+    return indices
 
 
 def menon_classic(n: int) -> IdentityReport:
@@ -141,23 +179,16 @@ def verify_star(
     r: int,
     budget: int = DEFAULT_BUDGET,
     shards: int = 1,
-    sample: int = 0,
-    seed: int = 0,
 ) -> IdentityReport:
     """Run the sweep against the closed form and report.
 
     matched must come out True (a mismatch would mean a bug, not new
     mathematics); a False report is still returned rather than raised so
-    batch sweeps surface every failure. When sample > 0, that many
-    seeded-pseudorandomly chosen elements also get their factor product
-    checked against a direct fixed-point count, and the seed is recorded
-    in the report.
+    batch sweeps surface every failure.
     """
     t0 = time.perf_counter()
     lhs = lhs_star(n, r, budget=budget, shards=shards)
     rhs = rhs_star(n, r)
-    if sample > 0:
-        group_action.sample_fixed_point_check(n, r, sample, seed=seed, budget=budget)
     return IdentityReport(
         n=n,
         r=r,
@@ -167,5 +198,4 @@ def verify_star(
         matched=lhs == rhs,
         elapsed=time.perf_counter() - t0,
         shards=shards,
-        seed=seed if sample > 0 else None,
     )

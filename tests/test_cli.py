@@ -59,6 +59,7 @@ def test_run_config_invariants():
         ["verify", "--n", "5..1", "--r", "2"],  # inverted range
         ["verify", "--n", "1..5", "--r", "2", "--format", "xml"],
         ["frobnicate", "--n", "1..5", "--r", "2"],
+        ["verify", "--n", "1..3", "--r", "1", "--seed", "0"],  # no such flag
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
@@ -155,7 +156,7 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
 def test_verify_output_is_byte_deterministic(capsys):
     runs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "verify", "--n", "1..12", "--r", "2", "--seed", "0")
+        code, out, _ = run_cli(capsys, "verify", "--n", "1..12", "--r", "2")
         assert code == EXIT_OK
         runs.append(out)
     assert runs[0] == runs[1]

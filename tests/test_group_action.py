@@ -5,14 +5,17 @@ scans) are written against the mathematical definitions, independently of
 the enumeration/odometer machinery under test.
 """
 
+import ast
 from itertools import product
 from math import gcd, lcm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from menon.arith import tau, tau_r_recursive
+from menon import group_action
+from menon.arith import tau, tau_r_closed, tau_r_recursive
 from menon.group_action import (
     BudgetExceededError,
     DivisorChain,
@@ -26,16 +29,15 @@ from menon.group_action import (
     divisor_chain,
     element_at,
     enumerate_group,
-    fixed_point_count_formula,
     fixed_point_sum,
     fixed_points_direct,
     group_size,
     matmul,
     orbit_count_burnside,
     orbits_brute_force,
-    sample_fixed_point_check,
     units,
 )
+from menon.identity import fixed_point_count_formula, sample_fixed_point_check
 
 # --- independent oracles ------------------------------------------------------
 
@@ -396,6 +398,11 @@ def test_count_chains_matches_tau_r(n, r):
     assert count_chains(n, r) == tau_r_recursive(n, r)
 
 
+def test_count_chains_on_a_highly_composite_modulus():
+    # 240 divisors at depth 6: the recursion revisits each (m, depth) often
+    assert count_chains(720720, 6) == tau_r_closed(720720, 6)
+
+
 # --- sharding -----------------------------------------------------------------------
 
 
@@ -413,6 +420,36 @@ def test_fixed_point_sum_is_shard_invariant():
     assert fixed_point_sum(6, 3, shards=3) == single
 
 
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Replace the worker pool with one that runs shards in this process;
+    yields the max_workers of every pool built."""
+    made = []
+
+    class FakePool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+    monkeypatch.setattr(group_action, "ProcessPoolExecutor", FakePool)
+    group_action._pool.cache_clear()
+    yield made
+    group_action._pool.cache_clear()
+
+
+def test_sharded_sweeps_share_one_pool(fake_pools):
+    sharded = [fixed_point_sum(n, 2, shards=2) for n in (5, 6)]
+    assert sharded == [fixed_point_sum(n, 2) for n in (5, 6)]
+    assert len(fake_pools) == 1
+
+
+def test_pool_workers_are_capped_by_cpu_count(fake_pools, monkeypatch):
+    monkeypatch.setattr(group_action.os, "cpu_count", lambda: 2)
+    assert fixed_point_sum(6, 3, shards=64) == fixed_point_sum(6, 3, shards=1)
+    assert fake_pools == [2]
+
+
 def test_fixed_point_sum_refuses_over_budget():
     with pytest.raises(BudgetExceededError) as err:
         fixed_point_sum(100, 4, budget=1000)
@@ -422,3 +459,20 @@ def test_fixed_point_sum_refuses_over_budget():
 def test_units_ascending_and_degenerate():
     assert units(1) == (0,)
     assert units(12) == (1, 5, 7, 11)
+
+
+# --- module graph -------------------------------------------------------------------
+
+
+def test_group_action_does_not_import_identity():
+    # identity builds on group_action, never the reverse, lazily or not
+    tree = ast.parse(Path(group_action.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert "identity" not in name.split("."), f"line {node.lineno} imports {name}"
