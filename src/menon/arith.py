@@ -110,6 +110,11 @@ def tau_r_recursive(n: int, r: int) -> int:
     """
     _check_positive("n", n)
     _check_positive("r", r)
+    # Fill the memo level by level: each call then finds the level below
+    # cached for every divisor, so the recursion stays a few frames deep
+    # for any r.
+    for level in range(1, r):
+        _tau_r(n, level)
     return _tau_r(n, r)
 
 

@@ -24,6 +24,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from math import isqrt
 
 from .arith import tau2_explicit, tau_r_closed, tau_r_recursive
 from .group_action import (
@@ -105,15 +106,24 @@ class RecordWriter:
 
 
 def _refuse(n: int, r: int, exc: BudgetExceededError) -> None:
-    diag = {
-        "n": str(n),
-        "r": r,
-        "refused": True,
-        "group_size": str(exc.group_size),
-        "estimated_ops": str(exc.estimated_ops),
-        "budget": str(exc.budget),
-    }
+    diag = {"n": str(n), "r": r, "refused": True}
+    if exc.group_size is not None:
+        diag["group_size"] = str(exc.group_size)
+    diag["estimated_ops"] = str(exc.estimated_ops)
+    diag["budget"] = str(exc.budget)
     print(json.dumps(diag), file=sys.stderr)
+
+
+def _check_factor_budget(n: int, budget: int) -> None:
+    # Trial division runs up to isqrt(n); refuse before it starts, and
+    # without a group size, whose phi(n) would factorize n.
+    cost = isqrt(n)
+    if cost > budget:
+        raise BudgetExceededError(
+            f"factorizing {n} refused: trial division up to {cost} exceeds budget {budget}",
+            estimated_ops=cost,
+            budget=budget,
+        )
 
 
 def _verify_record(rep: IdentityReport) -> dict:
@@ -186,7 +196,14 @@ def cmd_burnside(cfg: RunConfig, out) -> int:
 
 def cmd_tau(cfg: RunConfig, out) -> int:
     writer = RecordWriter(TAU_FIELDS, cfg.fmt, out)
+    refused = False
     for n in range(cfg.n_min, cfg.n_max + 1):
+        try:
+            _check_factor_budget(n, cfg.budget)
+        except BudgetExceededError as exc:
+            _refuse(n, cfg.r, exc)
+            refused = True
+            continue
         recursive = tau_r_recursive(n, cfg.r)
         closed = tau_r_closed(n, cfg.r)
         paths = {recursive, closed}
@@ -196,13 +213,19 @@ def cmd_tau(cfg: RunConfig, out) -> int:
             print(f"tau_r path disagreement at n={n}, r={cfg.r}: {sorted(paths)}", file=sys.stderr)
             return EXIT_MISMATCH
         writer.write({"n": str(n), "r": cfg.r, "tau_r": str(recursive)})
-    return EXIT_OK
+    return EXIT_REFUSED if refused else EXIT_OK
 
 
 def cmd_chains(cfg: RunConfig, out) -> int:
     writer = RecordWriter(CHAINS_FIELDS, cfg.fmt, out)
-    disagree = False
+    disagree = refused = False
     for n in range(cfg.n_min, cfg.n_max + 1):
+        try:
+            _check_factor_budget(n, cfg.budget)
+        except BudgetExceededError as exc:
+            _refuse(n, cfg.r, exc)
+            refused = True
+            continue
         chains = count_chains(n, cfg.r)
         t_r = tau_r_recursive(n, cfg.r)
         agree = chains == t_r
@@ -218,7 +241,7 @@ def cmd_chains(cfg: RunConfig, out) -> int:
                 "agree": agree,
             }
         )
-    return EXIT_MISMATCH if disagree else EXIT_OK
+    return EXIT_MISMATCH if disagree else EXIT_REFUSED if refused else EXIT_OK
 
 
 def cmd_bench(cfg: RunConfig, out) -> int:

@@ -1,7 +1,8 @@
 """The group of invertible upper-triangular r x r matrices over Z_n, its
 action on the column space Z_n^r, direct fixed-point counting, the
 fixed-point sweep and its elimination routine, Burnside orbit counting,
-brute-force orbit partitioning, and the divisor-chain orbit invariant.
+orbit partitioning by union-find over a generating set, and the
+divisor-chain orbit invariant.
 
 Enumeration order is fixed and documented: the diagonal entries run over
 the units of Z_n ascending, most significant first, followed by the strict
@@ -26,9 +27,14 @@ DEFAULT_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised instead of starting an enumeration whose estimated cost is too big."""
+    """Raised instead of starting an enumeration whose estimated cost is too big.
 
-    def __init__(self, message: str, *, estimated_ops: int, budget: int, group_size: int):
+    group_size is None when the refused work enumerates no group.
+    """
+
+    def __init__(
+        self, message: str, *, estimated_ops: int, budget: int, group_size: int | None = None
+    ):
         super().__init__(message)
         self.estimated_ops = estimated_ops
         self.budget = budget
@@ -467,16 +473,63 @@ def orbit_count_burnside(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: i
     return orbits
 
 
-def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[int, ...], ...]]:
-    """Partition Z_n^r into orbits by union-find over every (g, x) pair.
+def _unit_generators(n: int) -> list[int]:
+    """A generating set of the unit group (Z_n)^*: walk the units ascending
+    and keep each one outside the subgroup the earlier picks generate."""
+    gens: list[int] = []
+    subgroup = {1 % n}
+    for u in units(n):
+        if u in subgroup:
+            continue
+        gens.append(u)
+        # <H, u> is the union of the cosets H u^k, up to the first power in H
+        grown = set(subgroup)
+        power = u
+        while power not in subgroup:
+            grown.update(h * power % n for h in subgroup)
+            power = power * u % n
+        subgroup = grown
+    return gens
 
-    Deliberately independent of the divisor-chain invariant and of the
-    gcd-tower formula: the only ingredients are the raw group action and
-    a disjoint-set forest. Blocks are returned lexicographically sorted.
+
+def _generators(n: int, r: int) -> list[UpperTriangularMatrix]:
+    """A generating set of the group, each the identity with one cell changed:
+    diag(1, .., u, .., 1) for each position and each unit generator u, then
+    the transvections E_ij(1), i < j.
+
+    Every element is a diagonal matrix times a unipotent one; the first
+    kind generate the diagonal matrices, the second the unipotent ones.
+    """
+    base = UpperTriangularMatrix.identity(n, r).cells
+    upper = _upper_index(r)
+    unit_gens = _unit_generators(n)
+    changes = [(i, u) for i in range(r) for u in unit_gens]
+    changes += [(upper[i][j], 1 % n) for i in range(r) for j in range(i + 1, r)]
+    return [
+        UpperTriangularMatrix(n=n, r=r, cells=base[:t] + (v,) + base[t + 1 :])
+        for t, v in changes
+    ]
+
+
+def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[int, ...], ...]]:
+    """Partition Z_n^r into orbits by union-find over (g, x) pairs, with g
+    running over a generating set of the group.
+
+    A partition is closed under the group exactly when it is closed under
+    a generating set, so one pass over Z_n^r per generator suffices (the
+    standard orbit algorithm; Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.1). Deliberately independent of the
+    divisor-chain invariant and of the gcd-tower formula: the only
+    ingredients are the raw group action and a disjoint-set forest. Blocks
+    are returned lexicographically sorted.
     """
     size = group_size(n, r)
     space = n**r
-    _check_budget(f"orbits_brute_force(n={n}, r={r})", size * space * r * r, budget, size)
+    op = f"orbits_brute_force(n={n}, r={r})"
+    # n^r r^2 <= budget bounds n before units(n) is walked for the generators
+    _check_budget(op, space * r * r, budget, size)
+    gens = _generators(n, r)
+    _check_budget(op, len(gens) * space * r * r, budget, size)
 
     parent = list(range(space))
 
@@ -489,8 +542,8 @@ def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tup
         return root
 
     vectors = list(product(range(n), repeat=r))
-    for cells in _iter_cells(n, r, 0, size):
-        rows = UpperTriangularMatrix(n=n, r=r, cells=tuple(cells)).rows()
+    for g in gens:
+        rows = g.rows()
         for xi, x in enumerate(vectors):
             yi = 0
             for i in range(r):
@@ -539,4 +592,6 @@ def count_chains(n: int, r: int) -> int:
             return 1
         return sum(rec(m // d, depth - 1) for d in divisors(m))
 
+    for depth in range(1, r):  # bottom-up, so the recursion stays shallow
+        rec(n, depth)
     return rec(n, r)

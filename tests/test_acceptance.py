@@ -2,9 +2,9 @@
 
 Every check is exact (tolerance zero); run with -s to see the lines.
 All sweeps run against the configured work budget; the orbit-partition
-grids are capped per dimension so the trusted union-find pass (which
-unions over every group element, not a generating set) finishes in CI
-time while still covering every hand-checkable case.
+grids are capped per dimension so the Burnside sweep over every group
+element finishes in CI time (the union-find pass unions over a generating
+set, a few passes over Z_n^r per pair).
 """
 
 import json
@@ -57,16 +57,16 @@ def run_cli(*argv):
     )
 
 
-# Orbit-grid domain: n^r <= 10^4 and group_size <= 10^5 throughout, with a
-# per-dimension modulus cap keeping the full |G| x |X| union-find pass fast.
-GRID_CAPS = {1: 300, 2: 20, 3: 6, 4: 3, 5: 2}
+# Orbit-grid domain: n^r <= 10^4 and group_size <= 10^6 throughout, with a
+# per-dimension modulus cap keeping the |G|-element Burnside sweep fast.
+GRID_CAPS = {1: 300, 2: 40, 3: 12, 4: 6, 5: 4, 6: 3}
 
 
 def orbit_grid():
     pairs = []
     for r, n_cap in GRID_CAPS.items():
         for n in range(1, n_cap + 1):
-            if n**r <= 10**4 and group_size(n, r) <= 10**5:
+            if n**r <= 10**4 and group_size(n, r) <= 10**6:
                 pairs.append((n, r))
     return pairs
 

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from menon import cli
+from menon import arith, cli
+from menon.arith import tau_r_closed
 from menon.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -269,3 +270,28 @@ def test_internal_error_maps_to_exit_70(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert "RuntimeError: forced" in err and "internal error" in err
+
+
+def test_deep_tau_r_does_not_exhaust_the_stack(capsys):
+    # r far beyond the interpreter's recursion limit
+    code, out, _ = run_cli(capsys, "tau", "--n", "12", "--r", "3000")
+    assert code == EXIT_OK and out == f"{tau_r_closed(12, 3000)}\n"
+    code, out, _ = run_cli(capsys, "chains", "--n", "12", "--r", "3000")
+    rec = json.loads(out)
+    assert code == EXIT_OK and rec["chain_count"] == rec["tau_r"] == str(tau_r_closed(12, 3000))
+
+
+@pytest.mark.parametrize("command", ["tau", "chains"])
+def test_factorization_over_budget_is_refused_unfactorized(capsys, monkeypatch, command):
+    # trial division of this prime would run to 1e9; the refusal must
+    # come without factorizing it, so it carries no group size
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", no_factorize)
+    code, out, err = run_cli(capsys, command, "--n", "1000000000000000003", "--r", "2")
+    assert code == EXIT_REFUSED and out == ""
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["refused"] is True and "group_size" not in diag
+    assert diag["estimated_ops"] == str(10**9) and diag["budget"] == str(cli.DEFAULT_BUDGET)

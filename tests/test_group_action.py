@@ -23,7 +23,9 @@ from menon.group_action import (
     UpperTriangularMatrix,
     _cokernel,
     _fixed_point_sum_shard,
+    _generators,
     _shard_bounds,
+    _unit_generators,
     apply,
     count_chains,
     divisor_chain,
@@ -64,6 +66,39 @@ def naive_fixed_count(n, r, rows):
         if all(sum(rows[i][j] * x[j] for j in range(r)) % n == x[i] for i in range(r)):
             count += 1
     return count
+
+
+def orbits_all_elements(n, r):
+    """Orbit partition by union-find over every (g, x) pair, g running over
+    the whole group: |G| n^r unions, the slow oracle for the generator pass."""
+    vectors = list(product(range(n), repeat=r))
+    index = {x: i for i, x in enumerate(vectors)}
+    parent = list(range(len(vectors)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for rows in naive_group(n, r):
+        for x in vectors:
+            y = tuple(sum(rows[i][j] * x[j] for j in range(r)) % n for i in range(r))
+            ra, rb = sorted((find(index[x]), find(index[y])))
+            parent[rb] = ra
+    blocks = {}
+    for x in vectors:
+        blocks.setdefault(find(index[x]), []).append(x)
+    return sorted(tuple(sorted(b)) for b in blocks.values())
+
+
+def closure(start, gens, mul):
+    """Everything reached from start by right multiplication with gens."""
+    reached = {start}
+    frontier = reached
+    while frontier:
+        frontier = {mul(a, g) for a in frontier for g in gens} - reached
+        reached |= frontier
+    return reached
 
 
 def mat(n, rows):
@@ -340,8 +375,38 @@ def test_orbits_brute_force_degenerate_and_units():
 
 
 def test_orbits_brute_force_refuses_over_budget():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         orbits_brute_force(30, 2, budget=10**4)
+    assert err.value.estimated_ops == len(_generators(30, 2)) * 30**2 * 2 * 2
+    # for n = 40, r = 2 the all-element estimate |G| n^r r^2 is 6.6e7;
+    # the 7 generators make it 44 800
+    assert len(orbits_brute_force(40, 2)) == tau_r_closed(40, 2)
+    assert len(orbits_brute_force(40, 2, budget=10**5)) == tau_r_closed(40, 2)
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [(n, 1) for n in range(1, 31)]
+    + [(n, 2) for n in range(1, 11)]
+    + [(n, 3) for n in range(1, 5)]
+    + [(n, 4) for n in range(1, 3)],
+)
+def test_generator_pass_equals_all_element_pass(n, r):
+    assert orbits_brute_force(n, r) == orbits_all_elements(n, r)
+
+
+@pytest.mark.parametrize("n, r", [(2, 2), (3, 2), (4, 2), (6, 2), (2, 3), (3, 3), (4, 3)])
+def test_generators_close_to_the_whole_group(n, r):
+    reached = closure(UpperTriangularMatrix.identity(n, r), _generators(n, r), matmul)
+    assert reached == set(enumerate_group(n, r))
+    assert len(reached) == group_size(n, r)
+
+
+def test_unit_generators_generate_the_unit_group():
+    for n in range(1, 501):
+        reached = closure(1 % n, _unit_generators(n), lambda a, u, n=n: a * u % n)
+        assert reached == set(units(n)), n
+    assert _unit_generators(300) == [7, 11, 13]
 
 
 @pytest.mark.parametrize("n, r", [(n, 2) for n in range(1, 11)] + [(n, 3) for n in range(1, 5)])
