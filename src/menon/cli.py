@@ -18,11 +18,9 @@ error (any uncaught exception; the traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from math import isqrt
 
@@ -87,6 +85,8 @@ class RecordWriter:
         self.fmt = fmt
         self.stream = stream
         if fmt == "csv":
+            import csv
+
             self._csv = csv.writer(stream)
             self._csv.writerow(fields)
 
@@ -337,6 +337,8 @@ def main(argv=None) -> int:
     try:
         return command(cfg, stream)
     except Exception:
+        import traceback
+
         traceback.print_exc()
         print("menon: internal error", file=sys.stderr)
         return EXIT_INTERNAL

@@ -13,8 +13,8 @@ bit-identical results for any shard count.
 
 from __future__ import annotations
 
+import atexit
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import islice, product
@@ -438,8 +438,25 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     return total
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A `concurrent.futures.ProcessPoolExecutor`, imported on first use.
+
+    That import pulls in multiprocessing: about 30 modules and a fifth of
+    a CLI start, which an unsharded run never needs. The name stays a
+    module attribute so that callers can rebind it to count or fake the
+    pools that `_pool` builds.
+    """
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    pool = executor(max_workers=max_workers)
+    # Imported after this module, concurrent.futures is torn down before it
+    # at exit; a pool still alive then calls into the cleared module.
+    atexit.register(pool.shutdown)
+    return pool
+
+
 @cache
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     # One pool per worker count for the life of the process: a sweep over
     # many small moduli would otherwise spend its time starting workers.
     return ProcessPoolExecutor(max_workers=workers)

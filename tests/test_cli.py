@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,23 @@ def test_internal_error_maps_to_exit_70(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert "RuntimeError: forced" in err and "internal error" in err
+
+
+def test_start_up_loads_no_process_pool_machinery():
+    # concurrent.futures pulls in multiprocessing, a fifth of every start;
+    # only a sharded sweep may load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from menon.cli import main\n"
+        "assert main(['tau', '--n', '1..3', '--r', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_deep_tau_r_does_not_exhaust_the_stack(capsys):
