@@ -2,17 +2,22 @@
 
 Subcommands: verify (identity sweeps), burnside (three-way orbit-count
 agreement), tau (iterated divisor function with cross-checked paths),
-chains (divisor-chain counts), bench (sweep timings).
+chains (divisor-chain counts), bench (sweep timings). All five share one
+per-modulus loop (_run): each n is first held to the isqrt(n) budget of
+factorizing it by trial division, then handed to the subcommand's row
+function, which returns the record and any mismatch or disagreement.
 
 Machine-readable records go to stdout (or --out) as JSON lines or RFC-4180
 CSV. All exact integers are serialized as decimal strings. Record streams
 are byte-deterministic for a fixed config: the elapsed_s field of verify,
 burnside and chains records is always 0.0, and wall-clock timing is
 reported by bench only. Budget refusals are diagnostics on stderr, never
-partial records.
+partial records. A mismatch or disagreement is reported on stderr, its
+record is still written, and the run goes on to the next n.
 
-Exit codes: 0 ok, 1 mismatch, 2 budget refusal, 64 usage, 70 internal
-error (any uncaught exception; the traceback goes to stderr).
+Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
+64 usage (including any n above arith.FACTORIZE_MAX), 70 internal error
+(any uncaught exception; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import time
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import tau2_explicit, tau_r_closed, tau_r_recursive
+from .arith import FACTORIZE_MAX, tau2_explicit, tau_r_closed, tau_r_recursive
 from .group_action import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -33,7 +38,7 @@ from .group_action import (
     orbit_count_burnside,
     orbits_brute_force,
 )
-from .identity import IdentityReport, lhs_star, verify_star
+from .identity import lhs_star, verify_star
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -68,12 +73,15 @@ class RunConfig:
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    """Inclusive range 'a..b', or a single 'a' meaning a..a."""
+    """Inclusive range 'a..b', or a single 'a' meaning a..a.
+
+    b may not exceed FACTORIZE_MAX, the largest modulus factorize accepts.
+    """
     lo_text, sep, hi_text = text.partition("..")
     lo = int(lo_text)
     hi = int(hi_text) if sep else lo
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}: need 1 <= a <= b")
+    if lo < 1 or hi < lo or hi > FACTORIZE_MAX:
+        raise ValueError(f"bad range {text!r}: need 1 <= a <= b <= {FACTORIZE_MAX}")
     return lo, hi
 
 
@@ -126,8 +134,13 @@ def _check_factor_budget(n: int, budget: int) -> None:
         )
 
 
-def _verify_record(rep: IdentityReport) -> dict:
-    return {
+# A row function maps one modulus to (record, problem): the record to write,
+# and the mismatch or disagreement to report on stderr, or None.
+
+
+def _verify_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
+    rep = verify_star(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
+    record = {
         "n": str(rep.n),
         "r": rep.r,
         "lhs": str(rep.lhs),
@@ -137,146 +150,109 @@ def _verify_record(rep: IdentityReport) -> dict:
         "elapsed_s": 0.0,
         "shards": rep.shards,
     }
+    if rep.matched:
+        return record, None
+    return record, f"identity mismatch at n={n}, r={cfg.r}: lhs={rep.lhs} rhs={rep.rhs}"
 
 
-def cmd_verify(cfg: RunConfig, out) -> int:
-    writer = RecordWriter(VERIFY_FIELDS, cfg.fmt, out)
+def _burnside_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
+    burnside = orbit_count_burnside(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
+    unionfind = len(orbits_brute_force(n, cfg.r, budget=cfg.budget))
+    chains = count_chains(n, cfg.r)
+    t_r = tau_r_recursive(n, cfg.r)
+    agree = burnside == unionfind == chains == t_r
+    record = {
+        "n": str(n),
+        "r": cfg.r,
+        "burnside_count": str(burnside),
+        "unionfind_count": str(unionfind),
+        "chain_count": str(chains),
+        "tau_r": str(t_r),
+        "agree": agree,
+    }
+    if agree:
+        return record, None
+    return record, (
+        f"orbit-count disagreement at n={n}, r={cfg.r}: "
+        f"burnside={burnside} unionfind={unionfind} chains={chains} tau_r={t_r}"
+    )
+
+
+def _tau_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
+    recursive = tau_r_recursive(n, cfg.r)
+    closed = tau_r_closed(n, cfg.r)
+    paths = {recursive, closed}
+    if cfg.r == 2:
+        paths.add(tau2_explicit(n))
+    record = {"n": str(n), "r": cfg.r, "tau_r": str(recursive)}
+    if len(paths) == 1:
+        return record, None
+    return record, f"tau_r path disagreement at n={n}, r={cfg.r}: {sorted(paths)}"
+
+
+def _chains_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
+    chains = count_chains(n, cfg.r)
+    t_r = tau_r_recursive(n, cfg.r)
+    agree = chains == t_r
+    record = {
+        "n": str(n),
+        "r": cfg.r,
+        "chain_count": str(chains),
+        "tau_r": str(t_r),
+        "agree": agree,
+    }
+    if agree:
+        return record, None
+    return record, f"chain-count disagreement at n={n}, r={cfg.r}"
+
+
+def _bench_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
+    size = group_size(n, cfg.r)
+    t0 = time.perf_counter()
+    lhs = lhs_star(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
+    elapsed = time.perf_counter() - t0
+    record = {
+        "n": str(n),
+        "r": cfg.r,
+        "group_size": str(size),
+        "lhs": str(lhs),
+        "elapsed_s": elapsed,
+        "elements_per_s": size / elapsed if elapsed > 0 else float(size),
+        "shards": cfg.shards,
+    }
+    return record, None
+
+
+def _run(cfg: RunConfig, out, fields: tuple[str, ...], row) -> int:
+    """Write row(n, cfg)'s record for every n in range, unless a budget refuses n.
+
+    Each n first passes the isqrt(n) factor budget, since every row
+    factorizes n. Problems go to stderr as they come; a mismatch outranks
+    a refusal in the exit code.
+    """
+    writer = RecordWriter(fields, cfg.fmt, out)
     mismatched = refused = False
     for n in range(cfg.n_min, cfg.n_max + 1):
         try:
-            rep = verify_star(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
+            _check_factor_budget(n, cfg.budget)
+            record, problem = row(n, cfg)
         except BudgetExceededError as exc:
             _refuse(n, cfg.r, exc)
             refused = True
             continue
-        if not rep.matched:
-            print(
-                f"identity mismatch at n={n}, r={cfg.r}: lhs={rep.lhs} rhs={rep.rhs}",
-                file=sys.stderr,
-            )
+        if problem is not None:
+            print(problem, file=sys.stderr)
             mismatched = True
-        writer.write(_verify_record(rep))
+        writer.write(record)
     return EXIT_MISMATCH if mismatched else EXIT_REFUSED if refused else EXIT_OK
 
 
-def cmd_burnside(cfg: RunConfig, out) -> int:
-    writer = RecordWriter(BURNSIDE_FIELDS, cfg.fmt, out)
-    disagree = refused = False
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        try:
-            burnside = orbit_count_burnside(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
-            unionfind = len(orbits_brute_force(n, cfg.r, budget=cfg.budget))
-        except BudgetExceededError as exc:
-            _refuse(n, cfg.r, exc)
-            refused = True
-            continue
-        chains = count_chains(n, cfg.r)
-        t_r = tau_r_recursive(n, cfg.r)
-        agree = burnside == unionfind == chains == t_r
-        if not agree:
-            print(
-                f"orbit-count disagreement at n={n}, r={cfg.r}: "
-                f"burnside={burnside} unionfind={unionfind} chains={chains} tau_r={t_r}",
-                file=sys.stderr,
-            )
-            disagree = True
-        writer.write(
-            {
-                "n": str(n),
-                "r": cfg.r,
-                "burnside_count": str(burnside),
-                "unionfind_count": str(unionfind),
-                "chain_count": str(chains),
-                "tau_r": str(t_r),
-                "agree": agree,
-            }
-        )
-    return EXIT_MISMATCH if disagree else EXIT_REFUSED if refused else EXIT_OK
-
-
-def cmd_tau(cfg: RunConfig, out) -> int:
-    writer = RecordWriter(TAU_FIELDS, cfg.fmt, out)
-    refused = False
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        try:
-            _check_factor_budget(n, cfg.budget)
-        except BudgetExceededError as exc:
-            _refuse(n, cfg.r, exc)
-            refused = True
-            continue
-        recursive = tau_r_recursive(n, cfg.r)
-        closed = tau_r_closed(n, cfg.r)
-        paths = {recursive, closed}
-        if cfg.r == 2:
-            paths.add(tau2_explicit(n))
-        if len(paths) != 1:
-            print(f"tau_r path disagreement at n={n}, r={cfg.r}: {sorted(paths)}", file=sys.stderr)
-            return EXIT_MISMATCH
-        writer.write({"n": str(n), "r": cfg.r, "tau_r": str(recursive)})
-    return EXIT_REFUSED if refused else EXIT_OK
-
-
-def cmd_chains(cfg: RunConfig, out) -> int:
-    writer = RecordWriter(CHAINS_FIELDS, cfg.fmt, out)
-    disagree = refused = False
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        try:
-            _check_factor_budget(n, cfg.budget)
-        except BudgetExceededError as exc:
-            _refuse(n, cfg.r, exc)
-            refused = True
-            continue
-        chains = count_chains(n, cfg.r)
-        t_r = tau_r_recursive(n, cfg.r)
-        agree = chains == t_r
-        if not agree:
-            print(f"chain-count disagreement at n={n}, r={cfg.r}", file=sys.stderr)
-            disagree = True
-        writer.write(
-            {
-                "n": str(n),
-                "r": cfg.r,
-                "chain_count": str(chains),
-                "tau_r": str(t_r),
-                "agree": agree,
-            }
-        )
-    return EXIT_MISMATCH if disagree else EXIT_REFUSED if refused else EXIT_OK
-
-
-def cmd_bench(cfg: RunConfig, out) -> int:
-    writer = RecordWriter(BENCH_FIELDS, cfg.fmt, out)
-    refused = False
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        size = group_size(n, cfg.r)
-        t0 = time.perf_counter()
-        try:
-            lhs = lhs_star(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
-        except BudgetExceededError as exc:
-            _refuse(n, cfg.r, exc)
-            refused = True
-            continue
-        elapsed = time.perf_counter() - t0
-        writer.write(
-            {
-                "n": str(n),
-                "r": cfg.r,
-                "group_size": str(size),
-                "lhs": str(lhs),
-                "elapsed_s": elapsed,
-                "elements_per_s": size / elapsed if elapsed > 0 else float(size),
-                "shards": cfg.shards,
-            }
-        )
-    return EXIT_REFUSED if refused else EXIT_OK
-
-
 _COMMANDS = {
-    "verify": (cmd_verify, "sweep the identity over a modulus range"),
-    "burnside": (cmd_burnside, "three-way orbit-count agreement per modulus"),
-    "tau": (cmd_tau, "iterated divisor function, all paths cross-checked"),
-    "chains": (cmd_chains, "divisor-chain count vs tau_r per modulus"),
-    "bench": (cmd_bench, "sweep timing table"),
+    "verify": (_verify_row, VERIFY_FIELDS, "sweep the identity over a modulus range"),
+    "burnside": (_burnside_row, BURNSIDE_FIELDS, "three-way orbit-count agreement per modulus"),
+    "tau": (_tau_row, TAU_FIELDS, "iterated divisor function, all paths cross-checked"),
+    "chains": (_chains_row, CHAINS_FIELDS, "divisor-chain count vs tau_r per modulus"),
+    "bench": (_bench_row, BENCH_FIELDS, "sweep timing table"),
 }
 
 
@@ -290,7 +266,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="menon", description=__doc__.partition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.error = parser.error  # type: ignore[method-assign]
         p.add_argument("--n", required=True, type=parse_range, metavar="A..B",
@@ -325,7 +301,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"menon: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    command = _COMMANDS[args.command][0]
+    row, fields, _ = _COMMANDS[args.command]
     if cfg.out:
         try:
             stream = open(cfg.out, "w", newline="")
@@ -335,7 +311,7 @@ def main(argv=None) -> int:
     else:
         stream = sys.stdout
     try:
-        return command(cfg, stream)
+        return _run(cfg, stream, fields, row)
     except Exception:
         import traceback
 

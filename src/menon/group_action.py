@@ -17,10 +17,10 @@ import atexit
 import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import islice, product
+from itertools import compress, islice, product
 from math import gcd, lcm, prod
 
-from .arith import divisors, euler_phi
+from .arith import divisors, euler_phi, factorize
 
 # Default cap on estimated elementary operations for any enumerating call.
 DEFAULT_BUDGET = 10**8
@@ -59,7 +59,11 @@ def units(n: int) -> tuple[int, ...]:
     """Residues in [0, n) coprime to n, ascending. units(1) = (0,)."""
     if n < 1:
         raise ValueError(f"modulus must be >= 1, got {n!r}")
-    return tuple(a for a in range(n) if gcd(n, a) == 1)
+    # Sieve: strike out the multiples of each prime factor of n.
+    coprime = bytearray(b"\x01") * n
+    for p, _ in factorize(n):
+        coprime[::p] = bytes(len(range(0, n, p)))
+    return tuple(compress(range(n), coprime))
 
 
 @cache

@@ -37,13 +37,20 @@ def run_cli(capsys, *argv):
 
 @pytest.mark.parametrize(
     "text, expected",
-    [("1..30", (1, 30)), ("12", (12, 12)), ("7..7", (7, 7))],
+    [
+        ("1..30", (1, 30)),
+        ("12", (12, 12)),
+        ("7..7", (7, 7)),
+        (str(2**63 - 1), (2**63 - 1, 2**63 - 1)),  # arith.FACTORIZE_MAX
+    ],
 )
 def test_parse_range(text, expected):
     assert parse_range(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["0..5", "9..2", "", "..", "a..b", "-3"])
+@pytest.mark.parametrize(
+    "bad", ["0..5", "9..2", "", "..", "a..b", "-3", str(2**63), f"1..{2**63}"]
+)
 def test_parse_range_rejects(bad):
     with pytest.raises(ValueError):
         parse_range(bad)
@@ -65,11 +72,14 @@ def test_run_config_invariants():
         ["verify", "--n", "1..5", "--r", "2", "--format", "xml"],
         ["frobnicate", "--n", "1..5", "--r", "2"],
         ["verify", "--n", "1..3", "--r", "1", "--seed", "0"],  # no such flag
+        # beyond factorize's range; isqrt(2^64) = 2^32 passes this budget
+        ["tau", "--n", "18446744073709551616", "--r", "2", "--budget", "10000000000"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
-    code, _, _ = run_cli(capsys, *argv)
+    code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
+    assert "Traceback" not in err
 
 
 # --- verify ----------------------------------------------------------------------
@@ -258,10 +268,14 @@ def test_zero_shards_is_a_usage_error(capsys):
 
 
 def test_tau_path_disagreement_exits_1(capsys, monkeypatch):
-    # all paths agree on real inputs, so fake one to pin the exit code
+    # all paths agree on real inputs, so fake one to pin the exit code;
+    # like every command, tau reports each disagreement and goes on
     monkeypatch.setattr(cli, "tau_r_closed", lambda n, r: -1)
-    code, out, err = run_cli(capsys, "tau", "--n", "12", "--r", "2")
-    assert code == EXIT_MISMATCH and "disagreement" in err
+    code, out, err = run_cli(capsys, "tau", "--n", "11..12", "--r", "2")
+    assert code == EXIT_MISMATCH
+    assert out.splitlines() == ["3", "18"]  # the defining recursion's values
+    lines = err.splitlines()
+    assert len(lines) == 2 and all("disagreement" in line for line in lines)
 
 
 def test_internal_error_maps_to_exit_70(capsys, monkeypatch):
@@ -302,7 +316,7 @@ def test_deep_tau_r_does_not_exhaust_the_stack(capsys):
     assert code == EXIT_OK and rec["chain_count"] == rec["tau_r"] == str(tau_r_closed(12, 3000))
 
 
-@pytest.mark.parametrize("command", ["tau", "chains"])
+@pytest.mark.parametrize("command", ["verify", "burnside", "tau", "chains", "bench"])
 def test_factorization_over_budget_is_refused_unfactorized(capsys, monkeypatch, command):
     # trial division of this prime would run to 1e9; the refusal must
     # come without factorizing it, so it carries no group size

@@ -524,6 +524,9 @@ def test_fixed_point_sum_refuses_over_budget():
 def test_units_ascending_and_degenerate():
     assert units(1) == (0,)
     assert units(12) == (1, 5, 7, 11)
+    # the sieve against the gcd scan, the slow oracle
+    for n in range(1, 2001):
+        assert units(n) == tuple(a for a in range(n) if gcd(n, a) == 1), n
 
 
 # --- module graph -------------------------------------------------------------------
