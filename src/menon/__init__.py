@@ -6,7 +6,6 @@ from .arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd_many,
     tau,
     tau2_explicit,
     tau_r_closed,
@@ -37,7 +36,6 @@ from .identity import (
     lhs_star,
     menon_classic,
     rhs_star,
-    sample_fixed_point_check,
     verify_star,
 )
 

@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: gcd conventions, trial-division factorization,
-the classical multiplicative functions phi and tau, Dirichlet convolution,
-and the iterated divisor function tau_r.
+"""Exact integer arithmetic: trial-division factorization, the classical
+multiplicative functions phi and tau, Dirichlet convolution, and the
+iterated divisor function tau_r.
 
 Everything here works on plain Python ints, so all values are exact at any
 size. The only state is the tau_r memo table, which is deterministic and
@@ -10,8 +10,8 @@ safe to share across threads.
 from __future__ import annotations
 
 from functools import cache
-from math import comb, gcd
-from typing import Callable, Iterable
+from math import comb
+from typing import Callable
 
 # Trial division up to sqrt(n) is the factoring engine. The hard ceiling
 # below keeps requests in a range where that loop terminates in reasonable
@@ -25,16 +25,6 @@ ArithFunction = Callable[[int], int]
 def _check_positive(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-def gcd_many(n: int, terms: Iterable[int]) -> int:
-    """gcd of the modulus n and every term.
-
-    Conventions: gcd_many(n, []) = n and gcd(n, 0) = n, so zero terms are
-    neutral. The result always divides n.
-    """
-    _check_positive("n", n)
-    return gcd(n, *terms)
 
 
 def factorize(n: int) -> Factorization:

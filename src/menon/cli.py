@@ -85,6 +85,15 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _range_arg(text: str) -> tuple[int, int]:
+    # argparse prints an ArgumentTypeError's message but replaces a
+    # ValueError's with a generic "invalid value"
+    try:
+        return parse_range(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class RecordWriter:
     """Writes dict records with a fixed field order as JSON lines or CSV."""
 
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.error = parser.error  # type: ignore[method-assign]
-        p.add_argument("--n", required=True, type=parse_range, metavar="A..B",
+        p.add_argument("--n", required=True, type=_range_arg, metavar="A..B",
                        help="inclusive modulus range (single value allowed)")
         p.add_argument("--r", required=True, type=int, help="matrix dimension r >= 1")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -398,7 +398,7 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
 
 
 def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
-    """Sum of |X^g| over the elements lo..hi-1, each element its own term.
+    """Sum of |X^g| over the elements lo..hi-1.
 
     With M = A - I over Z_n, M' its leading (r-1) x (r-1) block, c the last
     column above the diagonal, g_r = gcd(n, a_rr - 1) and h = n / g_r:
@@ -407,9 +407,16 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
 
     because x_r = t h for t in Z_{g_r}, and x' then exists (in |ker M'|
     ways) exactly when t h c lies in the image of M'. The last enumeration
-    digit (r = 2) or two (r >= 3) are entries of c, so each leading block is
-    reduced once by _cokernel, and across its run of n or n^2 elements
-    (U h c)_i mod d_i is affine in those digits.
+    digit (r = 2) or two (r >= 3) are entries of c, so a lead (the cells
+    before them) fixes a run of n or n^2 elements whose (U h c)_i mod d_i
+    is affine in those digits.
+
+    A run's sum depends on its lead only through M', the fixed entries of
+    c and g_r, not through a_rr itself (the substitution step in Sury's
+    Burnside proof of Menon's identity). The leads that share the diagonal
+    of M' form one contiguous block, so within a block each distinct M' is
+    reduced once and each full run is summed once per (M', c, g_r). A run
+    that a shard bound clips is summed element by element.
     """
     n, r, lo, hi = args
     if r == 1:
@@ -419,12 +426,31 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     run = n**tail
     ps = range(n) if tail == 2 else (0,)
     upper = _upper_index(r)
+    strict = [upper[i][j] for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal
     leads = product(*_pools(n, r)[:-tail])
     first = lo // run
     total = 0
+    block = None
+    reduced: dict = {}  # strict entries of M' -> (d, U), within the block
+    run_sums: dict = {}  # (lead[k + 1:], g_r) -> sum over a full run, within the block
     for b, lead in enumerate(islice(leads, first, -(-hi // run)), first):
-        d, U = _cokernel(n, _leading_block(n, r, lead, k))
+        if lead[:k] != block:
+            block = lead[:k]
+            reduced.clear()
+            run_sums.clear()
         g_r = gcd(n, lead[k] - 1)
+        start, stop = max(lo - b * run, 0), min(hi - b * run, run)
+        full = start == 0 and stop == run
+        if full:
+            key = (lead[k + 1 :], g_r)
+            part = run_sums.get(key)
+            if part is not None:
+                total += part
+                continue
+        entries = tuple(lead[t] for t in strict)
+        if entries not in reduced:
+            reduced[entries] = _cokernel(n, _leading_block(n, r, lead, k))
+        d, U = reduced[entries]
         h = n // g_r
         fixed = [lead[upper[i][k]] for i in range(k - tail)]
         orders = [1] * run  # ord(h c) over the run, one component at a time
@@ -437,8 +463,10 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
             order_of = [di // gcd(di, w) for w in range(di)]
             column = [order_of[(base + p * sp + q * sq) % di] for p in ps for q in range(n)]
             orders = list(map(lcm, orders, column))
-        start, stop = max(lo - b * run, 0), min(hi - b * run, run)
-        total += prod(d) * sum(g_r // o for o in orders[start:stop])
+        part = prod(d) * sum(g_r // o for o in orders[start:stop])
+        if full:
+            run_sums[key] = part
+        total += part
     return total
 
 

@@ -1,8 +1,7 @@
 """The generalized gcd-sum identity: per-column fixed-point factors d_k and
-their product, the sampled cross-check of that product against direct
-counts, the exhaustive left-hand sweep over the whole matrix group, the
-closed-form right-hand side, and verification reports (the classical r = 1
-unit-group sum included).
+their product, the exhaustive left-hand sweep over the whole matrix group,
+the closed-form right-hand side, and verification reports (the classical
+r = 1 unit-group sum included).
 
 The contract that everything downstream leans on: for every group element
 g, the product of compute_dk(g, k) over k = 1..r equals the number of
@@ -17,7 +16,6 @@ depends jointly on the lower coordinates).
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from math import gcd, prod
@@ -27,11 +25,8 @@ from .arith import euler_phi, tau, tau_r_recursive
 from .group_action import (
     DEFAULT_BUDGET,
     UpperTriangularMatrix,
-    _check_budget,
     _cokernel,
     _leading_block,
-    element_at,
-    fixed_points_direct,
     group_size,
     units,
 )
@@ -112,37 +107,6 @@ def compute_dk(g: UpperTriangularMatrix, k: int) -> int:
 def fixed_point_count_formula(g: UpperTriangularMatrix) -> int:
     """|X^g| as the product of the per-column factors d_k."""
     return prod(compute_dk(g, k) for k in range(1, g.r + 1))
-
-
-def sample_fixed_point_check(
-    n: int,
-    r: int,
-    count: int,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> list[int]:
-    """Cross-check the factor product against direct fixed-point counts
-    on `count` seeded-pseudorandomly sampled elements.
-
-    Returns the sorted enumeration indices that were checked; raises
-    AssertionError on any mismatch (it would indicate a bug).
-    """
-    size = group_size(n, r)
-    count = min(count, size)
-    cost = count * n**r * r * r
-    _check_budget(f"sampled fixed-point check(n={n}, r={r})", cost, budget, size)
-    rng = random.Random(seed)
-    indices = sorted(rng.sample(range(size), count))
-    for idx in indices:
-        g = element_at(n, r, idx)
-        formula = fixed_point_count_formula(g)
-        direct = fixed_points_direct(g, budget)
-        if formula != direct:
-            raise AssertionError(
-                f"factor product {formula} != direct count {direct} "
-                f"for element #{idx} of group(n={n}, r={r})"
-            )
-    return indices
 
 
 def menon_classic(n: int) -> IdentityReport:

@@ -17,7 +17,6 @@ from menon.arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd_many,
     tau,
     tau2_explicit,
     tau_r_closed,
@@ -35,50 +34,8 @@ def phi_count(n):
     return sum(1 for a in range(n) if gcd(n, a) == 1) if n > 1 else 1
 
 
-def common_divisor_scan(values):
-    # largest d dividing every value (values nonempty, not all zero)
-    cap = min(v for v in values if v) if any(values) else 0
-    if cap == 0:
-        return max(values)
-    return max(d for d in range(1, cap + 1) if all(v % d == 0 for v in values))
-
-
 def is_prime_scan(p):
     return p >= 2 and all(p % d for d in range(2, p))
-
-
-# --- gcd_many ----------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "n, terms, expected",
-    [
-        (4, [2], 2),
-        (3, [0], 3),
-        (12, [8, 18], 2),  # common-divisor scan of {12, 8, 18}
-        (7, [], 7),
-        (12, [0, 0], 12),
-        (1, [0, 5], 1),
-    ],
-)
-def test_gcd_many_values(n, terms, expected):
-    assert gcd_many(n, terms) == expected
-    assert common_divisor_scan([n, *terms]) == expected
-
-
-def test_gcd_many_requires_positive_modulus():
-    with pytest.raises(ValueError):
-        gcd_many(0, [3])
-
-
-@given(
-    n=st.integers(1, 10**4),
-    terms=st.lists(st.integers(0, 10**6), max_size=8),
-)
-def test_gcd_many_divides_modulus(n, terms):
-    g = gcd_many(n, terms)
-    assert g >= 1 and n % g == 0
-    assert gcd_many(n, [*terms, 0]) == g  # zero terms are neutral
 
 
 # --- factorize / divisors ----------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from menon import arith, cli
-from menon.arith import tau_r_closed
+from menon.arith import FACTORIZE_MAX, tau_r_closed
 from menon.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
@@ -63,22 +63,27 @@ def test_run_config_invariants():
         RunConfig(n_min=1, n_max=2, r=1, shards=0)
 
 
+BAD_RANGE = f"need 1 <= a <= b <= {FACTORIZE_MAX}"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["verify", "--n", "1..5"],          # missing --r
-        ["verify", "--r", "2"],             # missing --n
-        ["verify", "--n", "5..1", "--r", "2"],  # inverted range
-        ["verify", "--n", "1..5", "--r", "2", "--format", "xml"],
-        ["frobnicate", "--n", "1..5", "--r", "2"],
-        ["verify", "--n", "1..3", "--r", "1", "--seed", "0"],  # no such flag
+        (["verify", "--n", "1..5"], "required: --r"),
+        (["verify", "--r", "2"], "required: --n"),
+        (["verify", "--n", "5..1", "--r", "2"], BAD_RANGE),  # inverted range
+        (["verify", "--n", "1..5", "--r", "2", "--format", "xml"], "invalid choice: 'xml'"),
+        (["frobnicate", "--n", "1..5", "--r", "2"], "invalid choice: 'frobnicate'"),
+        (["verify", "--n", "1..3", "--r", "1", "--seed", "0"], "unrecognized arguments: --seed"),
         # beyond factorize's range; isqrt(2^64) = 2^32 passes this budget
-        ["tau", "--n", "18446744073709551616", "--r", "2", "--budget", "10000000000"],
+        (["tau", "--n", "18446744073709551616", "--r", "2", "--budget", "10000000000"], BAD_RANGE),
     ],
+    ids=[f"argv{i}" for i in range(7)],
 )
-def test_usage_errors_exit_64(capsys, argv):
+def test_usage_errors_exit_64(capsys, argv, reason):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
+    assert reason in err
     assert "Traceback" not in err
 
 

@@ -6,6 +6,7 @@ the enumeration/odometer machinery under test.
 """
 
 import ast
+import random
 from itertools import product
 from math import gcd, lcm, prod
 from pathlib import Path
@@ -39,7 +40,7 @@ from menon.group_action import (
     orbits_brute_force,
     units,
 )
-from menon.identity import fixed_point_count_formula, sample_fixed_point_check
+from menon.identity import fixed_point_count_formula
 
 # --- independent oracles ------------------------------------------------------
 
@@ -89,6 +90,18 @@ def orbits_all_elements(n, r):
     for x in vectors:
         blocks.setdefault(find(index[x]), []).append(x)
     return sorted(tuple(sorted(b)) for b in blocks.values())
+
+
+def sample_fixed_point_check(n, r, count, seed=0):
+    """Check the factor product against the direct fixed-point count on
+    `count` seeded-pseudorandomly sampled elements, for groups too big for
+    the exhaustive check. Returns the sorted enumeration indices checked."""
+    size = group_size(n, r)
+    indices = sorted(random.Random(seed).sample(range(size), min(count, size)))
+    for idx in indices:
+        g = element_at(n, r, idx)
+        assert fixed_point_count_formula(g) == fixed_points_direct(g), (n, r, idx)
+    return indices
 
 
 def closure(start, gens, mul):
@@ -322,13 +335,26 @@ def sweep(n, r, lo, hi):
     return _fixed_point_sum_shard((n, r, lo, hi))
 
 
-@pytest.mark.parametrize(
-    "n, r",
+def clipped_sweep(n, r, lo, hi):
+    """The sweep over [lo, hi), each run of one lead split between two
+    calls: every run is clipped, so each element gets its own term, and
+    every call starts with nothing reduced or summed."""
+    run = n ** min(r - 1, 2)  # elements per lead: 1 (r = 1), n or n^2
+    return sum(
+        sweep(n, r, b, b + run - 1) + sweep(n, r, b + run - 1, b + run)
+        for b in range(lo, hi, run)
+    )
+
+
+KERNEL_GRID = (
     [(n, 1) for n in range(1, 31)]
     + [(n, 2) for n in range(1, 13)]
     + [(n, 3) for n in range(1, 7)]
-    + [(n, 4) for n in range(1, 4)],
+    + [(n, 4) for n in range(1, 4)]
 )
+
+
+@pytest.mark.parametrize("n, r", KERNEL_GRID)
 def test_sweep_kernel_term_is_the_direct_count_for_every_element(n, r):
     for i in range(group_size(n, r)):
         assert sweep(n, r, i, i + 1) == fixed_points_direct(element_at(n, r, i)), i
@@ -350,6 +376,33 @@ def test_sweep_kernel_splits_inside_every_inner_run(n, r, run):
     total = sweep(n, r, 0, 3 * run)
     for cut in range(3 * run + 1):
         assert sweep(n, r, 0, cut) + sweep(n, r, cut, 3 * run) == total
+
+
+# (7, 3), (9, 3) and, in the grid, (5, 3) have fewer classes of
+# g_r = gcd(n, a_rr - 1) than units; (5, 4) is cut to its first two
+# diagonal blocks (|G| / phi^3 elements each) to keep the clipped side short.
+@pytest.mark.parametrize(
+    "n, r, hi",
+    [(n, r, group_size(n, r)) for n, r in KERNEL_GRID + [(7, 3), (9, 3), (4, 4)]]
+    + [(5, 4, 2 * group_size(5, 4) // 4**3)],
+)
+def test_full_runs_sum_as_their_elements_do(n, r, hi):
+    # a full sweep reuses each block's reductions and run sums
+    assert sweep(n, r, 0, hi) == clipped_sweep(n, r, 0, hi)
+
+
+@pytest.mark.parametrize("n, r", [(9, 2), (9, 3), (4, 4)])
+def test_each_distinct_leading_block_is_reduced_once(n, r, monkeypatch):
+    calls = []
+
+    def counted(n, mat):
+        calls.append(1)
+        return _cokernel(n, mat)
+
+    monkeypatch.setattr(group_action, "_cokernel", counted)
+    fixed_point_sum(n, r)
+    k = r - 1  # phi(n)^k diagonal blocks, n^(k(k-1)/2) strict entries of M'
+    assert len(calls) == len(units(n)) ** k * n ** (k * (k - 1) // 2)
 
 
 # --- Burnside, orbits, chains ----------------------------------------------------------
