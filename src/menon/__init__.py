@@ -34,7 +34,6 @@ from .identity import (
     compute_dk,
     fixed_point_count_formula,
     lhs_star,
-    menon_classic,
     rhs_star,
     verify_star,
 )

@@ -26,7 +26,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from math import isqrt
 
 from .arith import FACTORIZE_MAX, tau2_explicit, tau_r_closed, tau_r_recursive
@@ -53,25 +52,6 @@ TAU_FIELDS = ("n", "r", "tau_r")
 BENCH_FIELDS = ("n", "r", "group_size", "lhs", "elapsed_s", "elements_per_s", "shards")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One batch run: inclusive modulus range, dimension, and run knobs."""
-
-    n_min: int
-    n_max: int
-    r: int
-    budget: int = DEFAULT_BUDGET
-    shards: int = 1
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if self.r < 1 or self.shards < 1 or self.budget < 1:
-            raise ValueError("r, shards and budget must all be >= 1")
-
-
 def parse_range(text: str) -> tuple[int, int]:
     """Inclusive range 'a..b', or a single 'a' meaning a..a.
 
@@ -92,6 +72,17 @@ def _range_arg(text: str) -> tuple[int, int]:
         return parse_range(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count_arg(text: str) -> int:
+    # --r, --shards and --budget: an integer >= 1, rejected like a bad range
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 class RecordWriter:
@@ -143,12 +134,13 @@ def _check_factor_budget(n: int, budget: int) -> None:
         )
 
 
-# A row function maps one modulus to (record, problem): the record to write,
-# and the mismatch or disagreement to report on stderr, or None.
+# A row function maps one modulus and the parsed arguments to (record,
+# problem): the record to write, and the mismatch or disagreement to report
+# on stderr, or None.
 
 
-def _verify_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
-    rep = verify_star(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
+def _verify_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    rep = verify_star(n, args.r, budget=args.budget, shards=args.shards)
     record = {
         "n": str(rep.n),
         "r": rep.r,
@@ -161,18 +153,18 @@ def _verify_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
     }
     if rep.matched:
         return record, None
-    return record, f"identity mismatch at n={n}, r={cfg.r}: lhs={rep.lhs} rhs={rep.rhs}"
+    return record, f"identity mismatch at n={n}, r={args.r}: lhs={rep.lhs} rhs={rep.rhs}"
 
 
-def _burnside_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
-    burnside = orbit_count_burnside(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
-    unionfind = len(orbits_brute_force(n, cfg.r, budget=cfg.budget))
-    chains = count_chains(n, cfg.r)
-    t_r = tau_r_recursive(n, cfg.r)
+def _burnside_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    burnside = orbit_count_burnside(n, args.r, budget=args.budget, shards=args.shards)
+    unionfind = len(orbits_brute_force(n, args.r, budget=args.budget))
+    chains = count_chains(n, args.r)
+    t_r = tau_r_recursive(n, args.r)
     agree = burnside == unionfind == chains == t_r
     record = {
         "n": str(n),
-        "r": cfg.r,
+        "r": args.r,
         "burnside_count": str(burnside),
         "unionfind_count": str(unionfind),
         "chain_count": str(chains),
@@ -182,71 +174,72 @@ def _burnside_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
     if agree:
         return record, None
     return record, (
-        f"orbit-count disagreement at n={n}, r={cfg.r}: "
+        f"orbit-count disagreement at n={n}, r={args.r}: "
         f"burnside={burnside} unionfind={unionfind} chains={chains} tau_r={t_r}"
     )
 
 
-def _tau_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
-    recursive = tau_r_recursive(n, cfg.r)
-    closed = tau_r_closed(n, cfg.r)
+def _tau_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    recursive = tau_r_recursive(n, args.r)
+    closed = tau_r_closed(n, args.r)
     paths = {recursive, closed}
-    if cfg.r == 2:
+    if args.r == 2:
         paths.add(tau2_explicit(n))
-    record = {"n": str(n), "r": cfg.r, "tau_r": str(recursive)}
+    record = {"n": str(n), "r": args.r, "tau_r": str(recursive)}
     if len(paths) == 1:
         return record, None
-    return record, f"tau_r path disagreement at n={n}, r={cfg.r}: {sorted(paths)}"
+    return record, f"tau_r path disagreement at n={n}, r={args.r}: {sorted(paths)}"
 
 
-def _chains_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
-    chains = count_chains(n, cfg.r)
-    t_r = tau_r_recursive(n, cfg.r)
+def _chains_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    chains = count_chains(n, args.r)
+    t_r = tau_r_recursive(n, args.r)
     agree = chains == t_r
     record = {
         "n": str(n),
-        "r": cfg.r,
+        "r": args.r,
         "chain_count": str(chains),
         "tau_r": str(t_r),
         "agree": agree,
     }
     if agree:
         return record, None
-    return record, f"chain-count disagreement at n={n}, r={cfg.r}"
+    return record, f"chain-count disagreement at n={n}, r={args.r}"
 
 
-def _bench_row(n: int, cfg: RunConfig) -> tuple[dict, str | None]:
-    size = group_size(n, cfg.r)
+def _bench_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    size = group_size(n, args.r)
     t0 = time.perf_counter()
-    lhs = lhs_star(n, cfg.r, budget=cfg.budget, shards=cfg.shards)
+    lhs = lhs_star(n, args.r, budget=args.budget, shards=args.shards)
     elapsed = time.perf_counter() - t0
     record = {
         "n": str(n),
-        "r": cfg.r,
+        "r": args.r,
         "group_size": str(size),
         "lhs": str(lhs),
         "elapsed_s": elapsed,
         "elements_per_s": size / elapsed if elapsed > 0 else float(size),
-        "shards": cfg.shards,
+        "shards": args.shards,
     }
     return record, None
 
 
-def _run(cfg: RunConfig, out, fields: tuple[str, ...], row) -> int:
-    """Write row(n, cfg)'s record for every n in range, unless a budget refuses n.
+def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
+    """Write row(n, args)'s record for every n in range, unless a budget refuses n.
 
     Each n first passes the isqrt(n) factor budget, since every row
     factorizes n. Problems go to stderr as they come; a mismatch outranks
     a refusal in the exit code.
     """
-    writer = RecordWriter(fields, cfg.fmt, out)
+    writer = RecordWriter(fields, args.fmt, out)
     mismatched = refused = False
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    lo, hi = args.n
+    for n in range(lo, hi + 1):
         try:
-            _check_factor_budget(n, cfg.budget)
-            record, problem = row(n, cfg)
+            _check_factor_budget(n, args.budget)
+            record, problem = row(n, args)
         except BudgetExceededError as exc:
-            _refuse(n, cfg.r, exc)
+            _refuse(n, args.r, exc)
             refused = True
             continue
         if problem is not None:
@@ -280,13 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.error = parser.error  # type: ignore[method-assign]
         p.add_argument("--n", required=True, type=_range_arg, metavar="A..B",
                        help="inclusive modulus range (single value allowed)")
-        p.add_argument("--r", required=True, type=int, help="matrix dimension r >= 1")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--r", required=True, type=_count_arg, help="matrix dimension r >= 1")
+        p.add_argument("--budget", type=_count_arg, default=DEFAULT_BUDGET,
                        help="max estimated elementary operations per call")
-        p.add_argument("--shards", type=int, default=1,
+        p.add_argument("--shards", type=_count_arg, default=1,
                        help="shards per sweep, run on min(shards, CPUs) workers")
-        p.add_argument("--format", choices=("json", "csv"),
-                       default=None, dest="fmt", help="record format")
+        # tau defaults to bare values, one per line
+        p.add_argument("--format", choices=("json", "csv"), dest="fmt",
+                       default="plain" if name == "tau" else "json", help="record format")
         p.add_argument("--out", default=None, help="write records to this path instead of stdout")
     return parser
 
@@ -296,31 +290,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    fmt = args.fmt or ("plain" if args.command == "tau" else "json")
-    try:
-        cfg = RunConfig(
-            n_min=args.n[0],
-            n_max=args.n[1],
-            r=args.r,
-            budget=args.budget,
-            shards=args.shards,
-            fmt=fmt,
-            out=args.out,
-        )
-    except ValueError as exc:
-        print(f"menon: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     row, fields, _ = _COMMANDS[args.command]
-    if cfg.out:
+    if args.out:
         try:
-            stream = open(cfg.out, "w", newline="")
+            stream = open(args.out, "w", newline="")
         except OSError as exc:
-            print(f"menon: error: cannot open {cfg.out!r}: {exc}", file=sys.stderr)
+            print(f"menon: error: cannot open {args.out!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
         stream = sys.stdout
     try:
-        return _run(cfg, stream, fields, row)
+        return _run(args, stream, fields, row)
     except Exception:
         import traceback
 
@@ -328,7 +308,7 @@ def main(argv=None) -> int:
         print("menon: internal error", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
-        if cfg.out:
+        if args.out:
             stream.close()
 
 

@@ -203,31 +203,8 @@ def element_at(n: int, r: int, index: int) -> UpperTriangularMatrix:
 
 
 def _iter_cells(n: int, r: int, lo: int, hi: int):
-    """Yield the cells of elements lo..hi-1 in enumeration order.
-
-    Yields one live list, mutated in place between yields; callers must
-    consume (or copy) each value before advancing.
-    """
-    pools = _pools(n, r)
-    npos = len(pools)
-    radices = [len(p) for p in pools]
-    digits = [0] * npos
-    idx = lo
-    for t in range(npos - 1, -1, -1):
-        idx, digits[t] = divmod(idx, radices[t])
-    cells = [pools[t][digits[t]] for t in range(npos)]
-    for _ in range(hi - lo):
-        yield cells
-        t = npos - 1
-        while t >= 0:
-            d = digits[t] + 1
-            if d < radices[t]:
-                digits[t] = d
-                cells[t] = pools[t][d]
-                break
-            digits[t] = 0
-            cells[t] = pools[t][0]
-            t -= 1
+    """The cells of elements lo..hi-1 in enumeration order, as tuples."""
+    return islice(product(*_pools(n, r)), lo, hi)
 
 
 def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
@@ -238,12 +215,7 @@ def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
     """
     size = group_size(n, r)
     _check_budget(f"enumerate_group({n}, {r})", size * r * r, budget, size)
-
-    def generate():
-        for cells in _iter_cells(n, r, 0, size):
-            yield UpperTriangularMatrix(n=n, r=r, cells=tuple(cells))
-
-    return generate()
+    return (UpperTriangularMatrix(n=n, r=r, cells=cells) for cells in _iter_cells(n, r, 0, size))
 
 
 def apply(g: UpperTriangularMatrix, x: ResidueVector) -> ResidueVector:
@@ -273,11 +245,15 @@ def matmul(g: UpperTriangularMatrix, h: UpperTriangularMatrix) -> UpperTriangula
     return UpperTriangularMatrix(n=n, r=r, cells=tuple(cells))
 
 
-def _count_fixed(rows, n: int, r: int) -> int:
-    # Exhaustive scan of Z_n^r; rows checked bottom-up so most vectors
-    # fail fast on the single-term last row.
-    count = 0
+def fixed_points_direct(g: UpperTriangularMatrix, budget: int = DEFAULT_BUDGET) -> int:
+    """|X^g| by full enumeration of Z_n^r. The trusted slow path."""
+    n, r = g.n, g.r
+    cost = n**r * r * r
+    _check_budget(f"fixed_points_direct(n={n}, r={r})", cost, budget, group_size(n, r))
+    # rows checked bottom-up, so most vectors fail fast on the single-term last row
+    rows = g.rows()
     order = range(r - 1, -1, -1)
+    count = 0
     for x in product(range(n), repeat=r):
         for i in order:
             s = 0
@@ -289,14 +265,6 @@ def _count_fixed(rows, n: int, r: int) -> int:
         else:
             count += 1
     return count
-
-
-def fixed_points_direct(g: UpperTriangularMatrix, budget: int = DEFAULT_BUDGET) -> int:
-    """|X^g| by full enumeration of Z_n^r. The trusted slow path."""
-    n, r = g.n, g.r
-    cost = n**r * r * r
-    _check_budget(f"fixed_points_direct(n={n}, r={r})", cost, budget, group_size(n, r))
-    return _count_fixed(g.rows(), n, r)
 
 
 def _shard_bounds(total: int, shards: int) -> list[tuple[int, int]]:
@@ -495,7 +463,7 @@ def _pool(workers: int):
 
 
 def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
-    """Sum of |X^g| over the whole group, one term per element.
+    """Sum of |X^g| over the whole group, the left-hand side of the identity.
 
     The index space is split into `shards` contiguous ranges; each shard is
     a pure fold and the shard totals are summed in shard order, so the

@@ -17,7 +17,6 @@ from menon.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_USAGE,
-    RunConfig,
     main,
     parse_range,
 )
@@ -56,13 +55,6 @@ def test_parse_range_rejects(bad):
         parse_range(bad)
 
 
-def test_run_config_invariants():
-    with pytest.raises(ValueError):
-        RunConfig(n_min=5, n_max=2, r=1)
-    with pytest.raises(ValueError):
-        RunConfig(n_min=1, n_max=2, r=1, shards=0)
-
-
 BAD_RANGE = f"need 1 <= a <= b <= {FACTORIZE_MAX}"
 
 
@@ -77,12 +69,19 @@ BAD_RANGE = f"need 1 <= a <= b <= {FACTORIZE_MAX}"
         (["verify", "--n", "1..3", "--r", "1", "--seed", "0"], "unrecognized arguments: --seed"),
         # beyond factorize's range; isqrt(2^64) = 2^32 passes this budget
         (["tau", "--n", "18446744073709551616", "--r", "2", "--budget", "10000000000"], BAD_RANGE),
+        # counts below 1 are refused by the parser, naming the argument
+        (["verify", "--n", "1..2", "--r", "0"], "argument --r: must be >= 1, got 0"),
+        (["verify", "--n", "1..2", "--r", "1", "--shards", "0"], "argument --shards: must be >= 1"),
+        (["verify", "--n", "1..2", "--r", "1", "--budget", "0"], "argument --budget: must be >= 1"),
+        (["verify", "--n", "1..2", "--r", "-3"], "argument --r: must be >= 1, got -3"),
+        (["tau", "--n", "1..2", "--r", "two"], "argument --r: not an integer: 'two'"),
     ],
-    ids=[f"argv{i}" for i in range(7)],
+    ids=[f"argv{i}" for i in range(12)],
 )
 def test_usage_errors_exit_64(capsys, argv, reason):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
+    assert err.startswith("usage: menon")
     assert reason in err
     assert "Traceback" not in err
 

@@ -25,6 +25,7 @@ from menon.group_action import (
     _cokernel,
     _fixed_point_sum_shard,
     _generators,
+    _iter_cells,
     _shard_bounds,
     _unit_generators,
     apply,
@@ -186,6 +187,27 @@ def test_enumeration_order_is_stable_and_indexable():
         assert element_at(6, 2, idx) == listed[idx]
     with pytest.raises(IndexError):
         element_at(6, 2, len(listed))
+
+
+# (n, r, lo, hi): whole groups, windows starting past 0, a window that
+# crosses several carries, and empty ranges
+@pytest.mark.parametrize(
+    "n, r, lo, hi",
+    [
+        (7, 1, 0, 6),
+        (12, 1, 1, 3),
+        (4, 2, 0, 16),
+        (5, 2, 7, 61),
+        (3, 3, 0, 216),
+        (4, 3, 100, 400),
+        (2, 4, 0, 64),
+        (3, 4, 5000, 5400),
+        (3, 3, 17, 17),
+        (5, 2, 80, 80),
+    ],
+)
+def test_iter_cells_walks_the_decoded_index_range(n, r, lo, hi):
+    assert list(_iter_cells(n, r, lo, hi)) == [element_at(n, r, i).cells for i in range(lo, hi)]
 
 
 def test_enumerate_group_refuses_over_budget():

@@ -26,7 +26,6 @@ from menon.identity import (
     _solution_count,
     compute_dk,
     lhs_star,
-    menon_classic,
     rhs_star,
     verify_star,
 )
@@ -110,20 +109,39 @@ def test_dk_product_is_the_fixed_point_count(n, r):
         assert prod_dk == fixed_points_direct(g)
 
 
+def closed_form_d1_d2(g):
+    # d_1 = gcd(n, a_11 - 1) and d_2 = gcd(n, n a_12 / d_1, a_22 - 1), with
+    # the full product n a_12 formed before the exact division
+    n = g.n
+    d1 = gcd(n, g.entry(0, 0) - 1)
+    return d1, gcd(n, n * g.entry(0, 1) // d1, g.entry(1, 1) - 1)
+
+
+@pytest.mark.parametrize("n, r", [(n, 2) for n in range(1, 13)] + [(n, 3) for n in range(1, 6)])
+def test_first_two_factors_equal_their_gcd_forms(n, r):
+    for g in enumerate_group(n, r):
+        assert (compute_dk(g, 1), compute_dk(g, 2)) == closed_form_d1_d2(g), g
+
+
 # --- the classical case ------------------------------------------------------------
+
+
+def classical_sum(n):
+    # gcd(n, a - 1) over every a < n coprime to n (for n = 1, a = 0)
+    return sum(gcd(n, a - 1) for a in range(n) if gcd(n, a) == 1)
 
 
 @pytest.mark.parametrize("n, lhs", [(1, 1), (3, 4), (12, 24)])
 def test_menon_classic_values(n, lhs):
-    rep = menon_classic(n)
+    rep = verify_star(n, 1)
     assert rep.lhs == lhs
     assert rep.rhs == euler_phi(n) * tau(n)
-    assert rep.matched
+    assert rep.matched and rep.r == 1 and rep.group_size == euler_phi(n)
 
 
 def test_menon_classic_holds_up_to_300():
     for n in range(1, 301):
-        assert menon_classic(n).matched
+        assert verify_star(n, 1).matched
 
 
 # --- the general identity -------------------------------------------------------------
@@ -136,7 +154,7 @@ def test_lhs_star_values(n, r, expected):
 
 def test_lhs_star_reduces_to_classical_sum():
     for n in range(1, 301):
-        assert lhs_star(n, 1) == menon_classic(n).lhs
+        assert lhs_star(n, 1) == classical_sum(n)
 
 
 @pytest.mark.parametrize(
