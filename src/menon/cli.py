@@ -9,9 +9,10 @@ function, which returns the record and any mismatch or disagreement.
 
 Machine-readable records go to stdout (or --out) as JSON lines or RFC-4180
 CSV. All exact integers are serialized as decimal strings. Record streams
-are byte-deterministic for a fixed config: the elapsed_s field of verify,
-burnside and chains records is always 0.0, and wall-clock timing is
-reported by bench only. Budget refusals are diagnostics on stderr, never
+are byte-deterministic for a fixed config: the elapsed_s field of verify
+records is always 0.0, and wall-clock timing is reported by bench only.
+verify, burnside and bench sweep the group and take --shards; tau and
+chains do not. Budget refusals are diagnostics on stderr, never
 partial records. A mismatch or disagreement is reported on stderr, its
 record is still written, and the run goes on to the next n.
 
@@ -276,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--r", required=True, type=_count_arg, help="matrix dimension r >= 1")
         p.add_argument("--budget", type=_count_arg, default=DEFAULT_BUDGET,
                        help="max estimated elementary operations per call")
-        p.add_argument("--shards", type=_count_arg, default=1,
-                       help="shards per sweep, run on min(shards, CPUs) workers")
+        if name in ("verify", "burnside", "bench"):  # the subcommands that sweep G
+            p.add_argument("--shards", type=_count_arg, default=1,
+                           help="shards per sweep, run on min(shards, CPUs) workers")
         # tau defaults to bare values, one per line
         p.add_argument("--format", choices=("json", "csv"), dest="fmt",
                        default="plain" if name == "tau" else "json", help="record format")

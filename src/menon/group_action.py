@@ -305,63 +305,43 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
       * the order of v in the cokernel is lcm_i d_i / gcd(d_i, (U v)_i).
 
     U is returned reduced mod n, which every d_i divides.
+
+    One smallest-pivot loop: each pass for t swaps the nonzero entry p of
+    least absolute value in rows and columns t.. to (t, t), then subtracts
+    floor(a / p) times row t from each row below and column t from each
+    column to its right. Row operations are mirrored in U; column ones need
+    no record. If column t below and row t to the right are now clear, p is
+    the t-th diagonal entry. Otherwise what is left there are remainders
+    smaller than |p|, so the next pass pivots on a smaller entry; |p| only
+    falls, so the passes for one t end. Once rows and columns t.. are all
+    zero, each remaining factor is Z/n.
     """
     k = len(mat)
     U = [[int(i == j) for j in range(k)] for i in range(k)]
     d = []
-    for t in range(k):
-        piv = None
-        pv = 0
-        for i in range(t, k):
-            row = mat[i]
-            for j in range(t, k):
-                v = row[j]
-                if v and (piv is None or -pv < v < pv):
-                    piv = (i, j)
-                    pv = v if v > 0 else -v
-            if pv == 1:  # cannot do better; also makes every division exact
-                break
-        if piv is None:  # the rest of mat is zero: each remaining factor is Z/n
+    t = 0
+    while t < k:
+        entries = [(abs(v), i, j) for i in range(t, k) for j, v in enumerate(mat[i][t:], t) if v]
+        if not entries:
             d += [n] * (k - t)
             break
-        pi, pj = piv
-        if pi != t:
-            mat[t], mat[pi] = mat[pi], mat[t]
-            U[t], U[pi] = U[pi], U[t]
-        if pj != t:
-            for row in mat:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            restart = False
-            for i in range(t + 1, k):
-                if mat[i][t]:
-                    q = mat[i][t] // mat[t][t]
-                    mi, mt = mat[i], mat[t]
-                    for j in range(t, k):
-                        mi[j] -= q * mt[j]
-                    ui, ut = U[i], U[t]
-                    for j in range(k):
-                        ui[j] -= q * ut[j]
-                    if mi[t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        U[t], U[i] = U[i], U[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, k):
-                if mat[t][j]:
-                    q = mat[t][j] // mat[t][t]
-                    for i in range(t, k):
-                        mat[i][j] -= q * mat[i][t]
-                    if mat[t][j]:
-                        for i in range(t, k):
-                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
-                        restart = True
-                        break
-            if not restart:
-                break
-        d.append(gcd(n, mat[t][t]))
+        _, pi, pj = min(entries)
+        mat[t], mat[pi] = mat[pi], mat[t]
+        U[t], U[pi] = U[pi], U[t]
+        for row in mat[t:]:
+            row[t], row[pj] = row[pj], row[t]
+        top, p = mat[t], mat[t][t]
+        for i in range(t + 1, k):
+            if q := mat[i][t] // p:
+                mat[i] = [a - q * b for a, b in zip(mat[i], top)]
+                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+        for j in range(t + 1, k):
+            if q := top[j] // p:
+                for row in mat[t:]:
+                    row[j] -= q * row[t]
+        if not any(top[t + 1 :]) and not any(row[t] for row in mat[t + 1 :]):
+            d.append(gcd(n, p))
+            t += 1
     return d, [[u % n for u in row] for row in U]
 
 

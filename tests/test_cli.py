@@ -75,8 +75,11 @@ BAD_RANGE = f"need 1 <= a <= b <= {FACTORIZE_MAX}"
         (["verify", "--n", "1..2", "--r", "1", "--budget", "0"], "argument --budget: must be >= 1"),
         (["verify", "--n", "1..2", "--r", "-3"], "argument --r: must be >= 1, got -3"),
         (["tau", "--n", "1..2", "--r", "two"], "argument --r: not an integer: 'two'"),
+        # only the subcommands that sweep the group take --shards
+        (["tau", "--n", "12", "--r", "2", "--shards", "2"], "unrecognized arguments: --shards 2"),
+        (["chains", "--n", "12", "--r", "2", "--shards", "2"], "unrecognized arguments: --shards 2"),
     ],
-    ids=[f"argv{i}" for i in range(12)],
+    ids=[f"argv{i}" for i in range(14)],
 )
 def test_usage_errors_exit_64(capsys, argv, reason):
     code, _, err = run_cli(capsys, *argv)

@@ -1,5 +1,6 @@
 """The per-column factors, the exhaustive sweep, the closed form, reports."""
 
+import gc
 import subprocess
 import sys
 import tracemalloc
@@ -233,15 +234,23 @@ def test_sweep_memory_stays_flat_across_moduli():
 def test_sweep_tables_are_bounded_and_freed_per_call():
     # The kernel keeps its reductions and run sums for one diagonal block
     # of one call. Before them this sweep peaked at 7 KB, with them at
-    # 54 KB; memory kept past a call would show in the second peak.
-    peaks = []
+    # 54 KB; memory kept past a call would show in the second peak and in
+    # what is still held once the call returns. Objects parked on the
+    # interpreter's free lists stay traced, so a full collection clears
+    # those lists before each measurement and before reading what is held.
+    peaks, held = [], []
     for _ in range(2):
+        gc.collect()
         tracemalloc.start()
         try:
             fixed_point_sum(12, 3)
             _, peak = tracemalloc.get_traced_memory()
+            gc.collect()
+            current, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         peaks.append(peak)
+        held.append(current)
     assert peaks[0] < 128 * 2**10, peaks
     assert peaks[1] <= peaks[0], peaks
+    assert max(held) < 4 * 2**10, held
