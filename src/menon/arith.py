@@ -3,14 +3,12 @@ multiplicative functions phi and tau, Dirichlet convolution, and the
 iterated divisor function tau_r.
 
 Everything here works on plain Python ints, so all values are exact at any
-size. The only state is the tau_r memo table, which is deterministic and
-safe to share across threads.
+size. Nothing here keeps state between calls.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from math import comb
+from math import comb, prod
 from typing import Callable
 
 # Trial division up to sqrt(n) is the factoring engine. The hard ceiling
@@ -86,26 +84,28 @@ def dirichlet_convolve(f: ArithFunction, g: ArithFunction, n: int) -> int:
     return sum(f(d) * g(n // d) for d in divisors(n))
 
 
-@cache
-def _tau_r(n: int, r: int) -> int:
-    if r == 1:
-        return tau(n)
-    return sum(_tau_r(d, r - 1) for d in divisors(n))
-
-
 def tau_r_recursive(n: int, r: int) -> int:
-    """Iterated divisor function: tau_1 = tau, tau_r(n) = sum_{d|n} tau_{r-1}(d).
+    """Iterated divisor function: tau_r(n) = sum_{d|n} tau_{r-1}(d), tau_0 = 1.
 
-    Memoized on (divisor, level); exact for any arguments.
+    One table per call holds tau_level(d) for every divisor d of n, indexed
+    by the exponent vector of d in mixed radix, one axis per prime of
+    factorize(n). Each of the r levels replaces the table by its sum over
+    e | d, a running sum along each prime axis in turn; so memory is tau(n)
+    entries for any r, and the time r * tau(n) * omega(n) additions.
     """
     _check_positive("n", n)
     _check_positive("r", r)
-    # Fill the memo level by level: each call then finds the level below
-    # cached for every divisor, so the recursion stays a few frames deep
-    # for any r.
-    for level in range(1, r):
-        _tau_r(n, level)
-    return _tau_r(n, r)
+    exponents = [a for _, a in factorize(n)]
+    table = [1] * prod(a + 1 for a in exponents)
+    for _ in range(r):
+        stride = 1
+        for a in exponents:
+            step = stride * (a + 1)
+            for i in range(stride, len(table)):
+                if i % step >= stride:  # d's exponent on this axis is >= 1
+                    table[i] += table[i - stride]
+            stride = step
+    return table[-1]
 
 
 def tau_r_closed(n: int, r: int) -> int:

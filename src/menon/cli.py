@@ -12,9 +12,13 @@ CSV. All exact integers are serialized as decimal strings. Record streams
 are byte-deterministic for a fixed config: the elapsed_s field of verify
 records is always 0.0, and wall-clock timing is reported by bench only.
 verify, burnside and bench sweep the group and take --shards; tau and
-chains do not. Budget refusals are diagnostics on stderr, never
-partial records. A mismatch or disagreement is reported on stderr, its
-record is still written, and the run goes on to the next n.
+chains do not; they refuse when r * tau(n)^2 exceeds the budget. Budget
+refusals are JSON diagnostics on stderr, never partial records. A
+diagnostic carries group_size only when the refused work enumerates the
+group, and neither group_size nor estimated_ops when r alone puts |G|
+over the budget, which is decided before either is computed. A mismatch or
+disagreement is reported on stderr, its record is still written, and the
+run goes on to the next n.
 
 Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
 64 usage (including any n above arith.FACTORIZE_MAX), 70 internal error
@@ -29,7 +33,7 @@ import sys
 import time
 from math import isqrt
 
-from .arith import FACTORIZE_MAX, tau2_explicit, tau_r_closed, tau_r_recursive
+from .arith import FACTORIZE_MAX, tau, tau2_explicit, tau_r_closed, tau_r_recursive
 from .group_action import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -118,7 +122,8 @@ def _refuse(n: int, r: int, exc: BudgetExceededError) -> None:
     diag = {"n": str(n), "r": r, "refused": True}
     if exc.group_size is not None:
         diag["group_size"] = str(exc.group_size)
-    diag["estimated_ops"] = str(exc.estimated_ops)
+    if exc.estimated_ops is not None:
+        diag["estimated_ops"] = str(exc.estimated_ops)
     diag["budget"] = str(exc.budget)
     print(json.dumps(diag), file=sys.stderr)
 
@@ -130,6 +135,18 @@ def _check_factor_budget(n: int, budget: int) -> None:
     if cost > budget:
         raise BudgetExceededError(
             f"factorizing {n} refused: trial division up to {cost} exceeds budget {budget}",
+            estimated_ops=cost,
+            budget=budget,
+        )
+
+
+def _check_divisor_budget(n: int, r: int, budget: int) -> None:
+    # tau and chains run r levels over divisor tables; no level of either
+    # takes more than tau(n)^2 steps
+    cost = r * tau(n) ** 2
+    if cost > budget:
+        raise BudgetExceededError(
+            f"divisor tables of {n} refused: r * tau(n)^2 = {cost} exceeds budget {budget}",
             estimated_ops=cost,
             budget=budget,
         )
@@ -181,6 +198,7 @@ def _burnside_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _tau_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    _check_divisor_budget(n, args.r, args.budget)
     recursive = tau_r_recursive(n, args.r)
     closed = tau_r_closed(n, args.r)
     paths = {recursive, closed}
@@ -193,6 +211,7 @@ def _tau_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _chains_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+    _check_divisor_budget(n, args.r, args.budget)
     chains = count_chains(n, args.r)
     t_r = tau_r_recursive(n, args.r)
     agree = chains == t_r
@@ -209,10 +228,10 @@ def _chains_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _bench_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
-    size = group_size(n, args.r)
     t0 = time.perf_counter()
     lhs = lhs_star(n, args.r, budget=args.budget, shards=args.shards)
     elapsed = time.perf_counter() - t0
+    size = group_size(n, args.r)  # after the sweep, which refuses a huge group first
     record = {
         "n": str(n),
         "r": args.r,

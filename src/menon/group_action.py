@@ -29,11 +29,18 @@ DEFAULT_BUDGET = 10**8
 class BudgetExceededError(RuntimeError):
     """Raised instead of starting an enumeration whose estimated cost is too big.
 
-    group_size is None when the refused work enumerates no group.
+    group_size is None when the refused work enumerates no group, and
+    estimated_ops and group_size are both None when a lower bound refused
+    the work before either was computed (_check_floor).
     """
 
     def __init__(
-        self, message: str, *, estimated_ops: int, budget: int, group_size: int | None = None
+        self,
+        message: str,
+        *,
+        estimated_ops: int | None,
+        budget: int,
+        group_size: int | None = None,
     ):
         super().__init__(message)
         self.estimated_ops = estimated_ops
@@ -49,6 +56,22 @@ def _check_budget(op: str, estimated_ops: int, budget: int, size: int) -> None:
             estimated_ops=estimated_ops,
             budget=budget,
             group_size=size,
+        )
+
+
+def _check_floor(op: str, n: int, bits: int, budget: int) -> None:
+    """Refuse work that costs at least 2^bits operations for n >= 2 once
+    that bound alone exceeds the budget.
+
+    It runs before the estimate and |G| are computed: for large r their
+    digits alone can outgrow memory, or the decimal string a refusal
+    prints. It refuses nothing that the full estimate would admit.
+    """
+    if n >= 2 and bits >= budget.bit_length():
+        raise BudgetExceededError(
+            f"{op} refused: at least 2^{bits} elementary operations exceeds budget {budget}",
+            estimated_ops=None,
+            budget=budget,
         )
 
 
@@ -213,8 +236,10 @@ def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
     Refuses up front (BudgetExceededError) when the estimated sweep cost
     |G| * r^2 exceeds the budget.
     """
+    op = f"enumerate_group({n}, {r})"
+    _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
     size = group_size(n, r)
-    _check_budget(f"enumerate_group({n}, {r})", size * r * r, budget, size)
+    _check_budget(op, size * r * r, budget, size)
     return (UpperTriangularMatrix(n=n, r=r, cells=cells) for cells in _iter_cells(n, r, 0, size))
 
 
@@ -450,8 +475,10 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     result is identical for every shard count. Shards run on a shared pool
     of at most min(shards, CPUs) workers.
     """
+    op = f"group sweep(n={n}, r={r})"
+    _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
     size = group_size(n, r)
-    _check_budget(f"group sweep(n={n}, r={r})", size * r * r, budget, size)
+    _check_budget(op, size * r * r, budget, size)
     pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, shards)]
     if shards == 1:
         return _fixed_point_sum_shard(pieces[0])
@@ -460,8 +487,8 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
 
 def orbit_count_burnside(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
     """Number of orbits: the fixed-point sum divided (exactly) by |G|."""
-    size = group_size(n, r)
     total = fixed_point_sum(n, r, budget=budget, shards=shards)
+    size = group_size(n, r)
     orbits, rem = divmod(total, size)
     if rem:
         raise AssertionError(
@@ -520,9 +547,10 @@ def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tup
     ingredients are the raw group action and a disjoint-set forest. Blocks
     are returned lexicographically sorted.
     """
+    op = f"orbits_brute_force(n={n}, r={r})"
+    _check_floor(op, n, r, budget)  # n^r >= 2^r
     size = group_size(n, r)
     space = n**r
-    op = f"orbits_brute_force(n={n}, r={r})"
     # n^r r^2 <= budget bounds n before units(n) is walked for the generators
     _check_budget(op, space * r * r, budget, size)
     gens = _generators(n, r)
@@ -579,16 +607,16 @@ def divisor_chain(x: ResidueVector) -> DivisorChain:
 
 
 def count_chains(n: int, r: int) -> int:
-    """Count all valid divisor chains by nested divisor enumeration."""
+    """Count all valid divisor chains by nested divisor enumeration.
+
+    ways[m] counts the chains of modulus m at the current length; each of
+    the r levels prepends a value v | m to the chains of m / v. Memory is
+    a divisor list and a count per divisor of n, for any r.
+    """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-
-    @cache  # fresh per call, so memory stays bounded across calls
-    def rec(m: int, depth: int) -> int:
-        if depth == 0:
-            return 1
-        return sum(rec(m // d, depth - 1) for d in divisors(m))
-
-    for depth in range(1, r):  # bottom-up, so the recursion stays shallow
-        rec(n, depth)
-    return rec(n, r)
+    quotients = {m: divisors(m) for m in divisors(n)}
+    ways = dict.fromkeys(quotients, 1)
+    for _ in range(r):
+        ways = {m: sum(ways[m // v] for v in links) for m, links in quotients.items()}
+    return ways[n]

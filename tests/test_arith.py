@@ -4,6 +4,8 @@ The oracle helpers are deliberately naive (scans and direct counts) and
 share no code with the implementation paths they check.
 """
 
+import gc
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -178,10 +180,37 @@ def test_tau_r_multiplicative_on_coprime_pairs(m, n, r):
 
 
 @settings(max_examples=60)
-@given(n=st.integers(1, 1000), r=st.integers(2, 5))
+@given(n=st.integers(1, 1000), r=st.integers(2, 8))
 def test_tau_r_is_convolution_power_step(n, r):
+    # the literal sum over divisors(), which the exponent lattice never calls
     prev = lambda m: tau_r_recursive(m, r - 1)
     assert dirichlet_convolve(prev, const_one, n) == tau_r_recursive(n, r)
+
+
+def test_tau_r_recursive_keeps_nothing_between_calls():
+    # a memo shared across calls once held every (divisor, level) of a range
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(1, 2001):
+            tau_r_recursive(n, 6)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2**10, held
+
+
+def test_tau_r_recursive_memory_does_not_grow_with_r():
+    # one table of tau(12) = 6 entries, whatever r; a memo per level held 4.5 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert tau_r_recursive(12, 5000) == tau_r_closed(12, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 @pytest.mark.parametrize("bad_args", [(0, 1), (5, 0), (-1, 2)])

@@ -315,7 +315,7 @@ def test_start_up_loads_no_process_pool_machinery():
 
 
 def test_deep_tau_r_does_not_exhaust_the_stack(capsys):
-    # r far beyond the interpreter's recursion limit
+    # pins r far beyond the interpreter's recursion limit
     code, out, _ = run_cli(capsys, "tau", "--n", "12", "--r", "3000")
     assert code == EXIT_OK and out == f"{tau_r_closed(12, 3000)}\n"
     code, out, _ = run_cli(capsys, "chains", "--n", "12", "--r", "3000")
@@ -337,3 +337,40 @@ def test_factorization_over_budget_is_refused_unfactorized(capsys, monkeypatch, 
     diag = json.loads(line)
     assert diag["refused"] is True and "group_size" not in diag
     assert diag["estimated_ops"] == str(10**9) and diag["budget"] == str(cli.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("command", ["verify", "burnside", "bench"])
+def test_large_r_is_refused_without_a_group_order(capsys, command):
+    # |G(10, 100)| has over 4 950 digits, more than int-to-str prints; for
+    # n >= 2, r(r - 1)/2 >= budget.bit_length() refuses before computing it
+    code, out, err = run_cli(capsys, command, "--n", "10", "--r", "100")
+    assert code == EXIT_REFUSED and out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag == {"n": "10", "r": 100, "refused": True, "budget": str(cli.DEFAULT_BUDGET)}
+
+
+def test_huge_r_is_refused_promptly():
+    # sweeping, or only sizing, |G(2, 100000)| = 2^(r(r-1)/2) runs past any
+    # timeout that a test can afford
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "menon.cli", "verify", "--n", "2", "--r", "100000"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert proc.returncode == EXIT_REFUSED and proc.stdout == ""
+    assert json.loads(proc.stderr)["refused"] is True
+
+
+@pytest.mark.parametrize("command", ["tau", "chains"])
+def test_divisor_tables_over_budget_are_refused(capsys, command):
+    # r levels over tables of tau(12) = 6 divisors: 1000 * 6^2 = 36 000
+    code, out, err = run_cli(capsys, command, "--n", "12", "--r", "1000", "--budget", "10000")
+    assert code == EXIT_REFUSED and out == ""
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["refused"] is True and "group_size" not in diag
+    assert diag["estimated_ops"] == "36000" and diag["budget"] == "10000"

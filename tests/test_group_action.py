@@ -6,7 +6,9 @@ the enumeration/odometer machinery under test.
 """
 
 import ast
+import gc
 import random
+import tracemalloc
 from itertools import product
 from math import gcd, lcm, prod
 from pathlib import Path
@@ -542,8 +544,20 @@ def test_count_chains_matches_tau_r(n, r):
     assert count_chains(n, r) == tau_r_recursive(n, r)
 
 
+def test_count_chains_memory_does_not_grow_with_r():
+    # one count per divisor of 12, whatever r; a memo per level held 4.5 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert count_chains(12, 5000) == tau_r_closed(12, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
+
+
 def test_count_chains_on_a_highly_composite_modulus():
-    # 240 divisors at depth 6: the recursion revisits each (m, depth) often
+    # 240 divisors and 7290 divisor links, summed over at each of 6 levels
     assert count_chains(720720, 6) == tau_r_closed(720720, 6)
 
 
@@ -598,6 +612,33 @@ def test_fixed_point_sum_refuses_over_budget():
     with pytest.raises(BudgetExceededError) as err:
         fixed_point_sum(100, 4, budget=1000)
     assert err.value.estimated_ops > 1000
+
+
+@pytest.mark.parametrize(
+    "count", [enumerate_group, fixed_point_sum, orbit_count_burnside, orbits_brute_force]
+)
+def test_large_r_is_refused_before_the_group_order_is_computed(count, monkeypatch):
+    # |G(2, 100000)| has 1.5e9 decimal digits; its lower bound 2^(r(r-1)/2)
+    # (2^r for n^r) refuses without it
+    def no_group_size(n, r):
+        raise AssertionError(f"group_size({n}, {r}) called")
+
+    monkeypatch.setattr(group_action, "group_size", no_group_size)
+    for n, r in [(10, 100), (2, 100000)]:
+        with pytest.raises(BudgetExceededError) as err:
+            count(n, r)
+        assert err.value.estimated_ops is None and err.value.group_size is None
+
+
+def test_lower_bound_refuses_nothing_the_estimate_admits():
+    # n = 1 has a one-element group for every r
+    assert fixed_point_sum(1, 100) == 1
+    assert orbits_brute_force(1, 20) == [(tuple([0] * 20),)]
+    # r(r-1)/2 = 28 bits is over the default budget, but the orbit pass
+    # costs 28 generators * 2^8 * 8^2 = 458 752 operations
+    assert len(orbits_brute_force(2, 8)) == tau_r_closed(2, 8)
+    # a budget of exactly the sweep's estimate |G| r^2
+    assert fixed_point_sum(2, 5, budget=2**10 * 5**2) == 2**10 * tau_r_closed(2, 5)
 
 
 def test_units_ascending_and_degenerate():
