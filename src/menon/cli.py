@@ -21,8 +21,9 @@ disagreement is reported on stderr, its record is still written, and the
 run goes on to the next n.
 
 Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
-64 usage (including any n above arith.FACTORIZE_MAX), 70 internal error
-(any uncaught exception; the traceback goes to stderr).
+64 usage (including any n, --r, --shards or --budget above
+arith.FACTORIZE_MAX), 70 internal error (any uncaught exception; the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -80,13 +81,17 @@ def _range_arg(text: str) -> tuple[int, int]:
 
 
 def _count_arg(text: str) -> int:
-    # --r, --shards and --budget: an integer >= 1, rejected like a bad range
+    # --r, --shards and --budget: an integer in [1, FACTORIZE_MAX], rejected
+    # like a bad range. The cap keeps every |G| that a refusal prints short:
+    # with a 63-bit budget, _check_floor refuses every sweep with r >= 12.
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > FACTORIZE_MAX:
+        raise argparse.ArgumentTypeError(f"must be <= {FACTORIZE_MAX}, got {text}")
     return value
 
 

@@ -75,8 +75,9 @@ def _check_floor(op: str, n: int, bits: int, budget: int) -> None:
         )
 
 
-# Sweeps visit n in order, so a few entries keep every hit within one n
-# while memory stays flat across a long range of moduli.
+# r >= 2 sweeps and the orbit pass visit n in order, so a few entries keep
+# every hit within one n while memory stays flat across a long range of
+# moduli. The r = 1 sweep reads its units from its own gcd table instead.
 @lru_cache(maxsize=8)
 def units(n: int) -> tuple[int, ...]:
     """Residues in [0, n) coprime to n, ascending. units(1) = (0,)."""
@@ -390,10 +391,22 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     of M' form one contiguous block, so within a block each distinct M' is
     reduced once and each full run is summed once per (M', c, g_r). A run
     that a shard bound clips is summed element by element.
+
+    For r = 1 the term is gcd(n, u - 1), read from a table over all
+    residues: each divisor d > 1 of n, in ascending order, is written at
+    every u = 1 (mod d), so the last write at u is the largest divisor of
+    n that divides u - 1. Each d also strikes its multiples from a
+    coprime mask, which picks out the units in enumeration order. No gcd
+    is taken and no int is made per unit; the two tables take about 9
+    bytes per residue.
     """
     n, r, lo, hi = args
     if r == 1:
-        return sum(gcd(n, u - 1) for u in units(n)[lo:hi])
+        fixed, coprime = [1] * n, bytearray(b"\x01") * n
+        for d in divisors(n)[1:]:
+            fixed[1::d] = [d] * len(range(1, n, d))
+            coprime[::d] = bytes(len(range(0, n, d)))
+        return sum(islice(compress(fixed, coprime), lo, hi))
     k = r - 1
     tail = 1 if r == 2 else 2  # trailing digits, all entries of c
     run = n**tail
@@ -470,16 +483,17 @@ def _pool(workers: int):
 def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
     """Sum of |X^g| over the whole group, the left-hand side of the identity.
 
-    The index space is split into `shards` contiguous ranges; each shard is
-    a pure fold and the shard totals are summed in shard order, so the
-    result is identical for every shard count. Shards run on a shared pool
-    of at most min(shards, CPUs) workers.
+    The index space is split into min(shards, |G|) contiguous ranges (more
+    would only add empty ones, which sum to 0); each shard is a pure fold
+    and the shard totals are summed in shard order, so the result is
+    identical for every shard count. Shards run on a shared pool of at
+    most min(shards, CPUs) workers.
     """
     op = f"group sweep(n={n}, r={r})"
     _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
     size = group_size(n, r)
     _check_budget(op, size * r * r, budget, size)
-    pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, shards)]
+    pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, size))]
     if shards == 1:
         return _fixed_point_sum_shard(pieces[0])
     return sum(_pool(min(shards, os.cpu_count() or 1)).map(_fixed_point_sum_shard, pieces))

@@ -77,11 +77,11 @@ def grid_blocks(n, r):
 
 
 def test_criterion_1_menon_base_case():
-    with criterion(1, "Menon base case exact for n = 1..300 at r = 1"):
-        proc = run_cli("verify", "--n", "1..300", "--r", "1")
+    with criterion(1, "Menon base case exact for n = 1..4000 at r = 1"):
+        proc = run_cli("verify", "--n", "1..4000", "--r", "1")
         assert proc.returncode == 0, proc.stderr.decode()
         records = [json.loads(line) for line in proc.stdout.decode().splitlines()]
-        assert len(records) == 300
+        assert len(records) == 4000
         assert all(rec["matched"] for rec in records)
         assert all(rec["lhs"] == rec["rhs"] for rec in records)
 

@@ -78,8 +78,14 @@ BAD_RANGE = f"need 1 <= a <= b <= {FACTORIZE_MAX}"
         # only the subcommands that sweep the group take --shards
         (["tau", "--n", "12", "--r", "2", "--shards", "2"], "unrecognized arguments: --shards 2"),
         (["chains", "--n", "12", "--r", "2", "--shards", "2"], "unrecognized arguments: --shards 2"),
+        # counts above FACTORIZE_MAX too; a 101-digit budget would let r = 26
+        # through to a refusal that prints a |G| of over 4300 digits
+        (["verify", "--n", "4611686018427387904", "--r", "26", "--budget", "1" + "0" * 100],
+         f"argument --budget: must be <= {FACTORIZE_MAX}"),
+        (["verify", "--n", "5", "--r", str(FACTORIZE_MAX + 1)], "argument --r: must be <="),
+        (["verify", "--n", "5", "--r", "2", "--shards", str(2**64)], "argument --shards: must be <="),
     ],
-    ids=[f"argv{i}" for i in range(14)],
+    ids=[f"argv{i}" for i in range(17)],
 )
 def test_usage_errors_exit_64(capsys, argv, reason):
     code, _, err = run_cli(capsys, *argv)
@@ -135,6 +141,20 @@ def test_verify_budget_refusal(capsys):
     assert diag["refused"] is True
     assert diag["group_size"] == str(100**6 * 40**4)
     assert diag["budget"] == "1000"
+
+
+def test_refusal_at_the_largest_budget_prints_the_exact_group_size(capsys):
+    # With a 63-bit budget the floor refuses every r >= 12, so r = 11 at
+    # n = 2^62 prints the largest |G| a refusal can: 2^(62*55 + 61*11).
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "4611686018427387904", "--r", "11", "--budget", str(FACTORIZE_MAX)
+    )
+    assert code == EXIT_REFUSED and out == ""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert diag["group_size"] == str(2**4081)
+    assert diag["budget"] == str(FACTORIZE_MAX)
 
 
 def test_verify_partial_refusal_keeps_other_records(capsys):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menon import group_action
-from menon.arith import tau, tau_r_closed, tau_r_recursive
+from menon.arith import euler_phi, tau, tau_r_closed, tau_r_recursive
 from menon.group_action import (
     BudgetExceededError,
     DivisorChain,
@@ -388,6 +388,41 @@ def test_sweep_kernel_term_is_the_direct_count_for_every_element(n, r):
         assert sweep(n, r, i, i + 1) == fixed_points_direct(element_at(n, r, i)), i
 
 
+def unit_gcd_sum(n, lo, hi):
+    """The r = 1 sweep as a gcd per unit: the slow oracle for its table."""
+    return sum(gcd(n, u - 1) for u in units(n)[lo:hi])
+
+
+def test_r1_kernel_term_is_the_gcd_for_every_unit():
+    for n in range(1, 201):
+        for i, u in enumerate(units(n)):
+            assert sweep(n, 1, i, i + 1) == gcd(n, u - 1), (n, u)
+
+
+@settings(max_examples=300)
+@given(n=st.integers(1, 5000), data=st.data())
+def test_r1_kernel_agrees_with_the_gcd_oracle_on_any_range(n, data):
+    phi = len(units(n))
+    lo = data.draw(st.integers(0, phi))
+    hi = data.draw(st.integers(lo, phi))
+    for a, b in [(lo, hi), (lo, lo), (0, phi)]:
+        assert sweep(n, 1, a, b) == unit_gcd_sum(n, a, b), (a, b)
+
+
+def test_r1_sweep_makes_no_int_per_unit():
+    # The gcd table and the coprime mask take 8 + 1 bytes per residue; a
+    # units tuple and a gcd per unit would take about 42.
+    n = 99991  # prime: every residue but 0 is a unit
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert fixed_point_sum(n, 1) == euler_phi(n) * tau(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n, peak / n
+
+
 @settings(max_examples=200)
 @given(r=st.integers(1, 4), data=st.data())
 def test_sweep_kernel_splits_at_any_cut(r, data):
@@ -606,6 +641,27 @@ def test_pool_workers_are_capped_by_cpu_count(fake_pools, monkeypatch):
     monkeypatch.setattr(group_action.os, "cpu_count", lambda: 2)
     assert fixed_point_sum(6, 3, shards=64) == fixed_point_sum(6, 3, shards=1)
     assert fake_pools == [2]
+
+
+def test_r1_shards_agree_with_the_gcd_oracle(fake_pools):
+    for n in range(1, 301):
+        expected = unit_gcd_sum(n, 0, len(units(n)))
+        for s in range(1, 6):
+            assert fixed_point_sum(n, 1, shards=s) == expected, (n, s)
+
+
+def test_more_shards_than_elements_map_one_piece_per_element(fake_pools, monkeypatch):
+    # 10^5 shards of an 80-element group would be mostly empty tuples
+    single = fixed_point_sum(5, 2, shards=1)
+    pieces = []
+
+    def counted(args):
+        pieces.append(args)
+        return _fixed_point_sum_shard(args)
+
+    monkeypatch.setattr(group_action, "_fixed_point_sum_shard", counted)
+    assert fixed_point_sum(5, 2, shards=10**5) == single
+    assert len(pieces) <= group_size(5, 2) == 80
 
 
 def test_fixed_point_sum_refuses_over_budget():
