@@ -13,7 +13,6 @@ bit-identical results for any shard count.
 
 from __future__ import annotations
 
-import atexit
 import os
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -456,21 +455,77 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     return total
 
 
-def ProcessPoolExecutor(max_workers: int):
-    """A `concurrent.futures.ProcessPoolExecutor`, imported on first use.
+def _serve(conn, parent_ends) -> None:
+    """A pool worker: run each (fn, args) that arrives on `conn` and send
+    back (True, result) or (False, (exception, traceback text)).
 
-    That import pulls in multiprocessing: about 30 modules and a fifth of
-    a CLI start, which an unsharded run never needs. The name stays a
-    module attribute so that callers can rebind it to count or fake the
-    pools that `_pool` builds.
+    A forked worker inherits the parent's ends of the pipes made so far,
+    its own among them; it closes them, so that it reads EOF and returns
+    once the parent is gone.
     """
-    from concurrent.futures import ProcessPoolExecutor as executor
+    import signal
 
-    pool = executor(max_workers=max_workers)
-    # Imported after this module, concurrent.futures is torn down before it
-    # at exit; a pool still alive then calls into the cleared module.
-    atexit.register(pool.shutdown)
-    return pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
+    for end in parent_ends:
+        end.close()
+    try:
+        while True:
+            fn, args = conn.recv()
+            try:
+                reply = True, fn(args)
+            except Exception as exc:
+                import traceback
+
+                reply = False, (exc, traceback.format_exc())
+            conn.send(reply)
+    except (EOFError, OSError):
+        return
+
+
+class ProcessPoolExecutor:
+    """Worker processes that each take one piece at a time over a pipe of
+    their own; `map` returns the results in input order. It keeps the
+    constructor of `concurrent.futures.ProcessPoolExecutor` and its `map`
+    over one iterable.
+
+    A piece costs one send and one receive. In concurrent.futures it also
+    passes a feeder and a manager thread each way, and on a shared 2-vCPU
+    host those hand-offs were about a quarter of a 2-shard sweep over
+    small moduli, and most of its spread from run to run.
+
+    multiprocessing is imported on first use, so an unsharded run starts
+    without it. The workers are daemonic: multiprocessing stops them when
+    the parent exits. The name stays a module attribute so that callers
+    can rebind it to count or fake the pools that `_pool` builds.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        import multiprocessing
+
+        self._conns = []
+        for _ in range(max_workers):
+            mine, theirs = multiprocessing.Pipe()
+            self._conns.append(mine)
+            multiprocessing.Process(target=_serve, args=(theirs, self._conns), daemon=True).start()
+            theirs.close()
+
+    def map(self, fn, items) -> list:
+        # Pieces go out in rounds of one per worker. Every reply of a round
+        # is read before a failure is raised, so that no stale reply is left
+        # to answer the next round.
+        items = list(items)
+        results = []
+        for start in range(0, len(items), len(self._conns)):
+            batch = list(zip(self._conns, items[start : start + len(self._conns)]))
+            for conn, item in batch:
+                conn.send((fn, item))
+            replies = [conn.recv() for conn, _ in batch]
+            for ok, value in replies:
+                if not ok:
+                    exc, text = value
+                    raise exc from RuntimeError(f"in a pool worker:\n{text}")
+            results += [value for _, value in replies]
+        return results
 
 
 @cache

@@ -664,6 +664,34 @@ def test_more_shards_than_elements_map_one_piece_per_element(fake_pools, monkeyp
     assert len(pieces) <= group_size(5, 2) == 80
 
 
+def test_pool_map_keeps_input_order_over_several_rounds():
+    pool = group_action.ProcessPoolExecutor(max_workers=2)
+    assert pool.map(abs, range(-7, 0)) == [7, 6, 5, 4, 3, 2, 1]
+    assert pool.map(abs, []) == []
+
+
+def test_pool_worker_error_reaches_the_caller_and_leaves_no_stale_reply():
+    pool = group_action.ProcessPoolExecutor(max_workers=2)
+    with pytest.raises(ValueError) as err:
+        pool.map(int, ["1", "x", "3"])
+    assert "in a pool worker" in str(err.value.__cause__)
+    assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+
+
+def test_pool_workers_exit_once_the_parent_ends_are_closed():
+    import multiprocessing
+
+    before = set(multiprocessing.active_children())
+    pool = group_action.ProcessPoolExecutor(max_workers=2)
+    workers = set(multiprocessing.active_children()) - before
+    assert len(workers) == 2
+    for conn in pool._conns:
+        conn.close()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert worker.exitcode == 0
+
+
 def test_fixed_point_sum_refuses_over_budget():
     with pytest.raises(BudgetExceededError) as err:
         fixed_point_sum(100, 4, budget=1000)
