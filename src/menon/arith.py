@@ -3,13 +3,15 @@ multiplicative functions phi and tau, Dirichlet convolution, and the
 iterated divisor function tau_r.
 
 Everything here works on plain Python ints, so all values are exact at any
-size. Nothing here keeps state between calls.
+size. Nothing here keeps state between calls. The module imports only
+math and collections.abc: every CLI process pays at start-up for what the
+package imports.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb, prod
-from typing import Callable
 
 # Trial division up to sqrt(n) is the factoring engine. The hard ceiling
 # below keeps requests in a range where that loop terminates in reasonable
@@ -90,21 +92,29 @@ def tau_r_recursive(n: int, r: int) -> int:
     One table per call holds tau_level(d) for every divisor d of n, indexed
     by the exponent vector of d in mixed radix, one axis per prime of
     factorize(n). Each of the r levels replaces the table by its sum over
-    e | d, a running sum along each prime axis in turn; so memory is tau(n)
-    entries for any r, and the time r * tau(n) * omega(n) additions.
+    e | d: a running sum along each prime axis in turn, one addition
+    table[d] += table[d / p] per link (d, d / p). The links are listed once
+    per call, as the indices of the d that p divides, with the stride that
+    takes d to d / p; axis by axis and by ascending index, so each running
+    sum adds up in order. Memory is at most tau(n) * omega(n) links plus
+    tau(n) entries for any r, and the time r * tau(n) * omega(n) additions.
     """
     _check_positive("n", n)
     _check_positive("r", r)
     exponents = [a for _, a in factorize(n)]
-    table = [1] * prod(a + 1 for a in exponents)
+    size = prod(a + 1 for a in exponents)
+    links = []
+    stride = 1
+    for a in exponents:
+        step = stride * (a + 1)
+        # d's exponent on this axis is >= 1
+        links.append((stride, [i for i in range(stride, size) if i % step >= stride]))
+        stride = step
+    table = [1] * size
     for _ in range(r):
-        stride = 1
-        for a in exponents:
-            step = stride * (a + 1)
-            for i in range(stride, len(table)):
-                if i % step >= stride:  # d's exponent on this axis is >= 1
-                    table[i] += table[i - stride]
-            stride = step
+        for stride, targets in links:
+            for i in targets:
+                table[i] += table[i - stride]
     return table[-1]
 
 

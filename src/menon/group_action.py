@@ -9,15 +9,20 @@ the units of Z_n ascending, most significant first, followed by the strict
 upper-triangle entries row-major over 0..n-1. Every sweep is a pure fold
 over a contiguous range of that index space, so shard totals combine into
 bit-identical results for any shard count.
+
+The records (matrices, vectors, divisor chains) are named tuples that check
+their fields on construction: immutable and hashable, and, as tuples, equal
+to a plain tuple of the same fields.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections import namedtuple
 from functools import cache, lru_cache
 from itertools import compress, islice, product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .arith import divisors, euler_phi, factorize
 
@@ -102,8 +107,7 @@ def _upper_index(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in table)
 
 
-@dataclass(frozen=True)
-class UpperTriangularMatrix:
+class UpperTriangularMatrix(namedtuple("UpperTriangularMatrix", "n r cells")):
     """Invertible upper-triangular matrix over Z_n.
 
     cells holds the diagonal first, then the strict upper triangle row-major;
@@ -111,21 +115,20 @@ class UpperTriangularMatrix:
     units of Z_n and every stored entry lies in [0, n).
     """
 
-    n: int
-    r: int
-    cells: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 1:
-            raise ValueError(f"need n >= 1 and r >= 1, got n={self.n}, r={self.r}")
-        expected = self.r * (self.r + 1) // 2
-        if len(self.cells) != expected:
-            raise ValueError(f"expected {expected} cells for r={self.r}, got {len(self.cells)}")
-        if any(not 0 <= c < self.n for c in self.cells):
-            raise ValueError(f"entries must lie in [0, {self.n}), got {self.cells}")
-        for i in range(self.r):
-            if gcd(self.n, self.cells[i]) != 1:
-                raise ValueError(f"diagonal entry {self.cells[i]} is not a unit mod {self.n}")
+    def __new__(cls, n: int, r: int, cells: tuple[int, ...]):
+        if n < 1 or r < 1:
+            raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+        expected = r * (r + 1) // 2
+        if len(cells) != expected:
+            raise ValueError(f"expected {expected} cells for r={r}, got {len(cells)}")
+        if any(not 0 <= c < n for c in cells):
+            raise ValueError(f"entries must lie in [0, {n}), got {cells}")
+        for i in range(r):
+            if gcd(n, cells[i]) != 1:
+                raise ValueError(f"diagonal entry {cells[i]} is not a unit mod {n}")
+        return super().__new__(cls, n, r, cells)
 
     def entry(self, i: int, j: int) -> int:
         """Entry at 0-based (row i, column j); zero below the diagonal."""
@@ -161,42 +164,38 @@ class UpperTriangularMatrix:
         return cls(n=n, r=r, cells=tuple([one] * r + [0] * (r * (r - 1) // 2)))
 
 
-@dataclass(frozen=True)
-class ResidueVector:
+class ResidueVector(namedtuple("ResidueVector", "n r coords")):
     """Element of Z_n^r: coordinates x_0..x_{r-1}, each in [0, n)."""
 
-    n: int
-    r: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 1:
-            raise ValueError(f"need n >= 1 and r >= 1, got n={self.n}, r={self.r}")
-        if len(self.coords) != self.r:
-            raise ValueError(f"expected {self.r} coordinates, got {len(self.coords)}")
-        if any(not 0 <= c < self.n for c in self.coords):
-            raise ValueError(f"coordinates must lie in [0, {self.n}), got {self.coords}")
+    def __new__(cls, n: int, r: int, coords: tuple[int, ...]):
+        if n < 1 or r < 1:
+            raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
+        if len(coords) != r:
+            raise ValueError(f"expected {r} coordinates, got {len(coords)}")
+        if any(not 0 <= c < n for c in coords):
+            raise ValueError(f"coordinates must lie in [0, {n}), got {coords}")
+        return super().__new__(cls, n, r, coords)
 
 
-@dataclass(frozen=True)
-class DivisorChain:
+class DivisorChain(namedtuple("DivisorChain", "n r values")):
     """Orbit invariant: values (v_1..v_r) with v_1 | n and each subsequent
     v_k dividing the running quotient n / (v_1 ... v_{k-1})."""
 
-    n: int
-    r: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.values) != self.r:
-            raise ValueError(f"expected {self.r} chain values, got {len(self.values)}")
-        remaining = self.n
-        for k, v in enumerate(self.values):
+    def __new__(cls, n: int, r: int, values: tuple[int, ...]):
+        if len(values) != r:
+            raise ValueError(f"expected {r} chain values, got {len(values)}")
+        remaining = n
+        for k, v in enumerate(values):
             if v < 1 or remaining % v != 0:
                 raise ValueError(
                     f"chain value {v} at position {k} does not divide the remaining quotient {remaining}"
                 )
             remaining //= v
+        return super().__new__(cls, n, r, values)
 
 
 def group_size(n: int, r: int) -> int:
@@ -678,14 +677,23 @@ def divisor_chain(x: ResidueVector) -> DivisorChain:
 def count_chains(n: int, r: int) -> int:
     """Count all valid divisor chains by nested divisor enumeration.
 
-    ways[m] counts the chains of modulus m at the current length; each of
-    the r levels prepends a value v | m to the chains of m / v. Memory is
-    a divisor list and a count per divisor of n, for any r.
+    ways[k] counts the chains of modulus m = divs[k] at the current length;
+    each of the r levels prepends a value v | m to the chains of m / v, and
+    as v runs over the divisors of m so does m / v, so a level sums ways
+    over the divisors of m. Those are found once per call by filtering n's
+    own divisor list: the v <= sqrt(m) with m % v == 0, each paired with
+    m / v, linked by position. Memory is those links, tau_2(n) positions,
+    and a count per divisor of n, for any r.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    quotients = {m: divisors(m) for m in divisors(n)}
-    ways = dict.fromkeys(quotients, 1)
+    divs = divisors(n)
+    position = {d: k for k, d in enumerate(divs)}
+    links = []
+    for m in divs:
+        low = [v for v in divs[: bisect_right(divs, isqrt(m))] if m % v == 0]
+        links.append([position[v] for v in low] + [position[m // v] for v in low if v * v != m])
+    ways = [1] * len(divs)
     for _ in range(r):
-        ways = {m: sum(ways[m // v] for v in links) for m, links in quotients.items()}
-    return ways[n]
+        ways = [sum(map(ways.__getitem__, row)) for row in links]
+    return ways[-1]

@@ -19,7 +19,7 @@ the tests use as oracles.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from . import group_action
@@ -33,25 +33,28 @@ from .group_action import (
 )
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(
+    namedtuple("IdentityReport", "n r lhs rhs group_size matched elapsed shards")
+):
     """Record of one identity check. lhs and rhs are exact integers;
     matched is lhs == rhs."""
 
-    n: int
-    r: int
-    lhs: int
-    rhs: int
-    group_size: int
-    matched: bool
-    elapsed: float
-    shards: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.matched != (self.lhs == self.rhs):
-            raise AssertionError(
-                f"report says matched={self.matched} but lhs={self.lhs}, rhs={self.rhs}"
-            )
+    def __new__(
+        cls,
+        n: int,
+        r: int,
+        lhs: int,
+        rhs: int,
+        group_size: int,
+        matched: bool,
+        elapsed: float,
+        shards: int,
+    ):
+        if matched != (lhs == rhs):
+            raise AssertionError(f"report says matched={matched} but lhs={lhs}, rhs={rhs}")
+        return super().__new__(cls, n, r, lhs, rhs, group_size, matched, elapsed, shards)
 
 
 def _solution_count(n: int, mat: list[list[int]]) -> int:

@@ -213,6 +213,18 @@ def test_tau_r_recursive_memory_does_not_grow_with_r():
     assert peak < 64 * 2**10, peak
 
 
+def test_tau_r_recursive_memory_on_a_highly_composite_modulus():
+    # 720720 = 2^4 3^2 5 7 11 13: 240 table entries and 832 links (d, d / p)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert tau_r_recursive(720720, 6) == tau_r_closed(720720, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**10, peak
+
+
 @pytest.mark.parametrize("bad_args", [(0, 1), (5, 0), (-1, 2)])
 def test_tau_r_rejects_nonpositive(bad_args):
     with pytest.raises(ValueError):

@@ -334,6 +334,21 @@ def test_start_up_loads_no_process_pool_machinery():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_start_up_loads_no_dataclasses_inspect_or_typing():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and typing is as
+    # large; the package needs none of them. -S keeps site hooks from
+    # loading any of them first
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import menon.cli, sys\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_deep_tau_r_does_not_exhaust_the_stack(capsys):
     # pins r far beyond the interpreter's recursion limit
     code, out, _ = run_cli(capsys, "tau", "--n", "12", "--r", "3000")

@@ -7,6 +7,7 @@ the enumeration/odometer machinery under test.
 
 import ast
 import gc
+import pickle
 import random
 import tracemalloc
 from itertools import product
@@ -43,7 +44,7 @@ from menon.group_action import (
     orbits_brute_force,
     units,
 )
-from menon.identity import fixed_point_count_formula
+from menon.identity import IdentityReport, fixed_point_count_formula
 
 # --- independent oracles ------------------------------------------------------
 
@@ -254,6 +255,24 @@ def test_divisor_chain_invariant_enforced():
         DivisorChain(n=12, r=2, values=(5, 1))
     with pytest.raises(ValueError):
         DivisorChain(n=12, r=2, values=(2, 8))  # 8 does not divide 12/2
+
+
+def test_records_are_immutable_hashable_and_pickle_to_equal_records():
+    g = UpperTriangularMatrix.identity(3, 2)
+    assert repr(g) == "UpperTriangularMatrix(n=3, r=2, cells=(1, 1, 0))"
+    records = [
+        g,
+        ResidueVector(n=4, r=2, coords=(1, 2)),
+        DivisorChain(n=12, r=2, values=(2, 6)),
+        IdentityReport(n=2, r=1, lhs=1, rhs=1, group_size=1, matched=True, elapsed=0.5, shards=1),
+    ]
+    for rec in records:
+        with pytest.raises(AttributeError):
+            rec.n = 5
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is type(rec) and hash(back) == hash(rec)
 
 
 # --- the action --------------------------------------------------------------------
@@ -594,6 +613,20 @@ def test_count_chains_memory_does_not_grow_with_r():
 def test_count_chains_on_a_highly_composite_modulus():
     # 240 divisors and 7290 divisor links, summed over at each of 6 levels
     assert count_chains(720720, 6) == tau_r_closed(720720, 6)
+
+
+def test_count_chains_lists_divisors_once(monkeypatch):
+    # the links come from n's own divisor list, not a divisors(m) per divisor m
+    calls = []
+    real = group_action.divisors
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(group_action, "divisors", counting)
+    assert count_chains(720720, 3) == tau_r_closed(720720, 3)
+    assert calls == [720720]
 
 
 # --- sharding -----------------------------------------------------------------------
