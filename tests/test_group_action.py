@@ -10,7 +10,7 @@ import gc
 import pickle
 import random
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm, prod
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from menon import group_action
-from menon.arith import euler_phi, tau, tau_r_closed, tau_r_recursive
+from menon.arith import euler_phi, factorize, tau, tau_r_closed, tau_r_recursive
 from menon.group_action import (
     BudgetExceededError,
     DivisorChain,
@@ -29,8 +29,11 @@ from menon.group_action import (
     _fixed_point_sum_shard,
     _generators,
     _iter_cells,
+    _pools,
+    _product_from,
     _shard_bounds,
     _unit_generators,
+    _unit_residue,
     apply,
     count_chains,
     divisor_chain,
@@ -211,6 +214,21 @@ def test_enumeration_order_is_stable_and_indexable():
 )
 def test_iter_cells_walks_the_decoded_index_range(n, r, lo, hi):
     assert list(_iter_cells(n, r, lo, hi)) == [element_at(n, r, i).cells for i in range(lo, hi)]
+
+
+@settings(max_examples=300)
+@given(r=st.integers(1, 4), data=st.data())
+def test_product_from_starts_where_islice_does(r, data):
+    # the sweep's lead pools: every digit of an element but the last one or two
+    n = data.draw(st.integers(1, {1: 30, 2: 12, 3: 6, 4: 3}[r]))
+    pools = _pools(n, r)[: -min(r - 1, 2) or None]
+    size = prod(map(len, pools))
+    first = data.draw(st.integers(0, size - 1))
+    last = data.draw(st.integers(first, size))
+    expected = list(islice(product(*pools), first, last))
+    assert list(islice(_product_from(pools, first), last - first)) == expected
+    assert list(_product_from(pools, first)) == list(islice(product(*pools), first, None))
+    assert type(_product_from(pools, 0)) is product
 
 
 def test_enumerate_group_refuses_over_budget():
@@ -428,18 +446,51 @@ def test_r1_kernel_agrees_with_the_gcd_oracle_on_any_range(n, data):
         assert sweep(n, 1, a, b) == unit_gcd_sum(n, a, b), (a, b)
 
 
+@settings(max_examples=300)
+@given(n=st.integers(1, 5000), data=st.data())
+def test_r1_kernel_agrees_with_the_gcd_oracle_across_windows(n, data):
+    # 64-residue windows, so most ranges start, cross and end in different ones
+    phi = len(units(n))
+    lo = data.draw(st.integers(0, phi))
+    hi = data.draw(st.integers(lo, phi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group_action, "_R1_WINDOW", 64)
+        for a, b in [(lo, hi), (0, hi), (lo, phi), (0, phi)]:
+            assert sweep(n, 1, a, b) == unit_gcd_sum(n, a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", [2**17, 2 * 3**9, 720720, 30030, 510510])
+def test_r1_kernel_agrees_with_the_gcd_oracle_on_even_moduli(n):
+    rng = random.Random(n)
+    phi = len(units(n))
+    ranges = [(0, phi), (0, 1), (phi - 1, phi)]
+    ranges += [tuple(sorted(rng.randrange(phi + 1) for _ in range(2))) for _ in range(20)]
+    for a, b in ranges:
+        assert sweep(n, 1, a, b) == unit_gcd_sum(n, a, b), (a, b)
+
+
+def test_unit_residue_matches_a_scan_of_the_units():
+    for n in range(1, 301):
+        us = units(n)
+        primes = [p for p, _ in factorize(n)]
+        for k in range(len(us) + 1):
+            assert _unit_residue(n, primes, k) == (us[k - 1] + 1 if k else 0), (n, k)
+
+
 def test_r1_sweep_makes_no_int_per_unit():
-    # The gcd table and the coprime mask take 8 + 1 bytes per residue; a
-    # units tuple and a gcd per unit would take about 42.
-    n = 99991  # prime: every residue but 0 is a unit
-    gc.collect()
-    tracemalloc.start()
-    try:
-        assert fixed_point_sum(n, 1) == euler_phi(n) * tau(n)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * n, peak / n
+    # One window's coprime mask and its slices, whatever n: a units tuple
+    # and a gcd per unit would take about 42 bytes per residue, and a gcd
+    # table over all residues at least 9.
+    peaks = {}
+    for n in (99991, 3 * 2**20, 9699690):  # a prime, an even n, a primorial
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert fixed_point_sum(n, 1) == euler_phi(n) * tau(n)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 4 * 2**20, peaks
 
 
 @settings(max_examples=200)
