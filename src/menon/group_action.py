@@ -238,10 +238,7 @@ def _product_from(pools: list, first: int):
     there on are m + 1 products in a chain: the item itself, then, for each
     position j from the last pool back to the first, the items that keep
     its digits before j, take a later digit at j and any digits after j.
-    first = 0 is the plain product.
     """
-    if first == 0:
-        return product(*pools)
     digits = []
     for pool in reversed(pools):
         first, c = divmod(first, len(pool))
@@ -432,7 +429,8 @@ def _r1_shard(n: int, lo: int, hi: int) -> int:
     terms = [(1, 1)]  # (d, phi(d)) for each divisor d of n
     for p, e in fac:
         terms += [(d * p**k, f * (p - 1) * p ** (k - 1)) for d, f in terms for k in range(1, e + 1)]
-    phi = prod((p - 1) * p ** (e - 1) for p, e in fac)
+    # each prime's pass appends its full power last, so terms ends with (n, phi(n))
+    phi = terms[-1][1]
     a = 0 if lo == 0 else _unit_residue(n, primes, lo)
     b = n if hi == phi else _unit_residue(n, primes, hi)
     total = 0
