@@ -3,14 +3,17 @@ multiplicative functions phi and tau, Dirichlet convolution, and the
 iterated divisor function tau_r.
 
 Everything here works on plain Python ints, so all values are exact at any
-size. Nothing here keeps state between calls. The module imports only
-math and collections.abc: every CLI process pays at start-up for what the
-package imports.
+size. The one state kept between calls is a small cache of the last few
+factorizations (_factor), so that each modulus of a sweep is trial-divided
+once however many of the functions here read it. The module imports only
+math, functools and collections.abc: every CLI process pays at start-up for
+what the package imports.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
 from math import comb, prod
 
 # Trial division up to sqrt(n) is the factoring engine. The hard ceiling
@@ -31,8 +34,17 @@ def factorize(n: int) -> Factorization:
     """Prime factorization of n as ascending (prime, exponent) pairs.
 
     Returns the empty list exactly when n = 1. Raises ValueError outside
-    [1, FACTORIZE_MAX].
+    [1, FACTORIZE_MAX]. Each call returns a fresh list.
     """
+    return list(_factor(n))
+
+
+# A sweep visits its moduli in order and reads each one's factorization
+# several times (phi for |G|, the units or divisors, tau_r), so a few
+# entries keep every repeat within one n while memory stays flat.
+@lru_cache(maxsize=8)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """factorize(n) as a tuple, by trial division up to sqrt(n)."""
     if not 1 <= n <= FACTORIZE_MAX:
         raise ValueError(f"factorize expects 1 <= n <= {FACTORIZE_MAX}, got {n!r}")
     pairs = []
@@ -48,13 +60,13 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         pairs.append((m, 1))
-    return pairs
+    return tuple(pairs)
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending (so divisors(1) = [1])."""
     divs = [1]
-    for p, a in factorize(n):
+    for p, a in _factor(n):
         divs = [d * p**k for d in divs for k in range(a + 1)]
     divs.sort()
     return divs
@@ -63,7 +75,7 @@ def divisors(n: int) -> list[int]:
 def euler_phi(n: int) -> int:
     """Euler's totient phi(n), computed from the factorization; phi(1) = 1."""
     phi = 1
-    for p, a in factorize(n):
+    for p, a in _factor(n):
         phi *= p ** (a - 1) * (p - 1)
     return phi
 
@@ -71,7 +83,7 @@ def euler_phi(n: int) -> int:
 def tau(n: int) -> int:
     """Number of divisors of n: the product of (exponent + 1)."""
     t = 1
-    for _, a in factorize(n):
+    for _, a in _factor(n):
         t *= a + 1
     return t
 
@@ -91,7 +103,7 @@ def tau_r_recursive(n: int, r: int) -> int:
 
     One table per call holds tau_level(d) for every divisor d of n, indexed
     by the exponent vector of d in mixed radix, one axis per prime of
-    factorize(n). Each of the r levels replaces the table by its sum over
+    n. Each of the r levels replaces the table by its sum over
     e | d: a running sum along each prime axis in turn, one addition
     table[d] += table[d / p] per link (d, d / p). The links are listed once
     per call, as the indices of the d that p divides, with the stride that
@@ -101,7 +113,7 @@ def tau_r_recursive(n: int, r: int) -> int:
     """
     _check_positive("n", n)
     _check_positive("r", r)
-    exponents = [a for _, a in factorize(n)]
+    exponents = [a for _, a in _factor(n)]
     size = prod(a + 1 for a in exponents)
     links = []
     stride = 1
@@ -127,7 +139,7 @@ def tau_r_closed(n: int, r: int) -> int:
     _check_positive("n", n)
     _check_positive("r", r)
     out = 1
-    for _, a in factorize(n):
+    for _, a in _factor(n):
         out *= comb(a + r, r)
     return out
 
@@ -138,7 +150,7 @@ def tau2_explicit(n: int) -> int:
     The product is always divisible by 2^s because each factor is a product
     of two consecutive integers; the division is performed exactly.
     """
-    pairs = factorize(n)
+    pairs = _factor(n)
     prod = 1
     for _, a in pairs:
         prod *= (a + 1) * (a + 2)

@@ -24,7 +24,7 @@ from functools import cache, lru_cache
 from itertools import chain, compress, islice, product
 from math import gcd, isqrt, lcm, prod
 
-from .arith import divisors, euler_phi, factorize
+from .arith import _factor, divisors, euler_phi
 
 # Default cap on estimated elementary operations for any enumerating call.
 DEFAULT_BUDGET = 10**8
@@ -90,7 +90,7 @@ def units(n: int) -> tuple[int, ...]:
         raise ValueError(f"modulus must be >= 1, got {n!r}")
     # Sieve: strike out the multiples of each prime factor of n.
     coprime = bytearray(b"\x01") * n
-    for p, _ in factorize(n):
+    for p, _ in _factor(n):
         coprime[::p] = bytes(len(range(0, n, p)))
     return tuple(compress(range(n), coprime))
 
@@ -424,7 +424,7 @@ def _r1_shard(n: int, lo: int, hi: int) -> int:
 
     See _fixed_point_sum_shard for the method.
     """
-    fac = factorize(n)
+    fac = _factor(n)
     primes = [p for p, _ in fac]
     terms = [(1, 1)]  # (d, phi(d)) for each divisor d of n
     for p, e in fac:
@@ -464,8 +464,14 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     c and g_r, not through a_rr itself (the substitution step in Sury's
     Burnside proof of Menon's identity). The leads that share the diagonal
     of M' form one contiguous block, so within a block each distinct M' is
-    reduced once and each full run is summed once per (M', c, g_r). A run
-    that a shard bound clips is summed element by element.
+    reduced once and each full run is summed once per (M', c, g_r).
+
+    Row i of U gives element (p, q) of a run (q its last digit) the
+    component (base + p sp + q sq) mod d_i, so the n orders along q are a
+    line that depends only on (d_i, sq, (base + p sp) mod d_i), cached for
+    the block. A row's orders are its lines joined over p; further rows
+    merge by lcm. The run sums (g_r / o) * count(o) over its distinct
+    orders o, times prod(d); a clipped run sums its span the same way.
 
     For r = 1 the term is gcd(n, u - 1), and gcd(n, u - 1) is the sum of
     phi(d) over the divisors d of n that divide u - 1 (Gauss). Swapping the
@@ -499,11 +505,14 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     block = None
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
     run_sums: dict = {}  # (lead[k + 1:], g_r) -> sum over a full run, within the block
+    lines: dict = {}  # (d_i, sq, b) -> the n orders along q, within the block
+    order_of: dict = {}  # d_i -> [d_i / gcd(d_i, w) for w < d_i], for the call
     for b, lead in enumerate(islice(leads, -(-hi // run) - first), first):
         if lead[:k] != block:
             block = lead[:k]
             reduced.clear()
             run_sums.clear()
+            lines.clear()
         g_r = gcd(n, lead[k] - 1)
         start, stop = max(lo - b * run, 0), min(hi - b * run, run)
         full = start == 0 and stop == run
@@ -519,17 +528,29 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         d, U = reduced[entries]
         h = n // g_r
         fixed = [lead[upper[i][k]] for i in range(k - tail)]
-        orders = [1] * run  # ord(h c) over the run, one component at a time
+        orders = None  # ord(h c) over the run, one component at a time
         for row, di in zip(U, d):
             if di == 1:
                 continue
             base = h * sum(u * c for u, c in zip(row, fixed)) % di
             sp = h * row[-2] % di if tail == 2 else 0
             sq = h * row[-1] % di
-            order_of = [di // gcd(di, w) for w in range(di)]
-            column = [order_of[(base + p * sp + q * sq) % di] for p in ps for q in range(n)]
-            orders = list(map(lcm, orders, column))
-        part = prod(d) * sum(g_r // o for o in orders[start:stop])
+            column = []
+            for p in ps:
+                bp = (base + p * sp) % di
+                line = lines.get((di, sq, bp))
+                if line is None:
+                    table = order_of.get(di)
+                    if table is None:
+                        table = order_of[di] = [di // gcd(di, w) for w in range(di)]
+                    line = lines[di, sq, bp] = [table[(bp + q * sq) % di] for q in range(n)]
+                column += line
+            orders = column if orders is None else list(map(lcm, orders, column))
+        if orders is None:
+            part = prod(d) * g_r * (stop - start)
+        else:
+            span = orders if full else orders[start:stop]
+            part = prod(d) * sum(g_r // o * span.count(o) for o in set(span))
         if full:
             run_sums[key] = part
         total += part

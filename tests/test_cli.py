@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from menon import arith, cli
+from menon import arith, cli, group_action
 from menon.arith import FACTORIZE_MAX, tau_r_closed
 from menon.cli import (
     EXIT_MISMATCH,
@@ -362,16 +362,28 @@ def test_deep_tau_r_does_not_exhaust_the_stack(capsys):
 def test_factorization_over_budget_is_refused_unfactorized(capsys, monkeypatch, command):
     # trial division of this prime would run to 1e9; the refusal must
     # come without factorizing it, so it carries no group size
-    def no_factorize(n):
-        raise AssertionError(f"factorize({n}) called")
+    def no_trial_division(n):
+        raise AssertionError(f"trial division of {n} called")
 
-    monkeypatch.setattr(arith, "factorize", no_factorize)
+    # _factor runs the trial division for factorize and everything else
+    for module in (arith, group_action):
+        monkeypatch.setattr(module, "_factor", no_trial_division)
     code, out, err = run_cli(capsys, command, "--n", "1000000000000000003", "--r", "2")
     assert code == EXIT_REFUSED and out == ""
     [line] = err.splitlines()
     diag = json.loads(line)
     assert diag["refused"] is True and "group_size" not in diag
     assert diag["estimated_ops"] == str(10**9) and diag["budget"] == str(cli.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("argv", [("verify", "--r", "1"), ("tau", "--r", "3")], ids=["verify", "tau"])
+def test_each_modulus_is_trial_divided_once(capsys, argv):
+    # every n of the range is factorized at least once (its phi, its tau),
+    # so 200 misses of the cache mean exactly one trial division per n
+    arith._factor.cache_clear()
+    code, out, _ = run_cli(capsys, *argv, "--n", "1..200")
+    assert code == EXIT_OK and len(out.splitlines()) == 200
+    assert arith._factor.cache_info().misses == 200
 
 
 @pytest.mark.parametrize("command", ["verify", "burnside", "bench"])
