@@ -38,6 +38,7 @@ from .arith import FACTORIZE_MAX, tau, tau2_explicit, tau_r_closed, tau_r_recurs
 from .group_action import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    _check_budget,
     count_chains,
     group_size,
     orbit_count_burnside,
@@ -136,25 +137,13 @@ def _refuse(n: int, r: int, exc: BudgetExceededError) -> None:
 def _check_factor_budget(n: int, budget: int) -> None:
     # Trial division runs up to isqrt(n); refuse before it starts, and
     # without a group size, whose phi(n) would factorize n.
-    cost = isqrt(n)
-    if cost > budget:
-        raise BudgetExceededError(
-            f"factorizing {n} refused: trial division up to {cost} exceeds budget {budget}",
-            estimated_ops=cost,
-            budget=budget,
-        )
+    _check_budget(f"factorizing {n}", isqrt(n), budget)
 
 
 def _check_divisor_budget(n: int, r: int, budget: int) -> None:
     # tau and chains run r levels over divisor tables; no level of either
     # takes more than tau(n)^2 steps
-    cost = r * tau(n) ** 2
-    if cost > budget:
-        raise BudgetExceededError(
-            f"divisor tables of {n} refused: r * tau(n)^2 = {cost} exceeds budget {budget}",
-            estimated_ops=cost,
-            budget=budget,
-        )
+    _check_budget(f"divisor tables of {n}", r * tau(n) ** 2, budget)
 
 
 # A row function maps one modulus and the parsed arguments to (record,

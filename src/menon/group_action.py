@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from collections import namedtuple
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain, compress, islice, product
 from math import gcd, isqrt, lcm, prod
 
@@ -52,10 +52,13 @@ class BudgetExceededError(RuntimeError):
         self.group_size = group_size
 
 
-def _check_budget(op: str, estimated_ops: int, budget: int, size: int) -> None:
+def _check_budget(op: str, estimated_ops: int, budget: int, size: int | None = None) -> None:
+    """Refuse op when its estimate exceeds the budget; size is |G| when op
+    enumerates the group, else None."""
     if estimated_ops > budget:
+        group = "" if size is None else f"group size {size}, "
         raise BudgetExceededError(
-            f"{op} refused: group size {size}, estimated {estimated_ops} elementary "
+            f"{op} refused: {group}estimated {estimated_ops} elementary "
             f"operations exceeds budget {budget}",
             estimated_ops=estimated_ops,
             budget=budget,
@@ -79,11 +82,6 @@ def _check_floor(op: str, n: int, bits: int, budget: int) -> None:
         )
 
 
-# r >= 2 sweeps and the orbit pass visit n in order, so a few entries keep
-# every hit within one n while memory stays flat across a long range of
-# moduli. The r = 1 sweep never builds this tuple: it counts units in a
-# coprime mask one window of residues at a time.
-@lru_cache(maxsize=8)
 def units(n: int) -> tuple[int, ...]:
     """Residues in [0, n) coprime to n, ascending. units(1) = (0,)."""
     if n < 1:
@@ -95,17 +93,10 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(compress(range(n), coprime))
 
 
-@cache
-def _upper_index(r: int) -> tuple[tuple[int, ...], ...]:
-    # Cell layout: cells[0:r] are the diagonal, then strict-upper entries
-    # row-major. _upper_index(r)[i][j] is the cells index of entry (i, j), i < j.
-    table = [[-1] * r for _ in range(r)]
-    pos = r
-    for i in range(r):
-        for j in range(i + 1, r):
-            table[i][j] = pos
-            pos += 1
-    return tuple(tuple(row) for row in table)
+def _cell(r: int, i: int, j: int) -> int:
+    # The cells index of strict entry (i, j), i < j: past the r diagonal
+    # cells and the r - 1 - t strict entries of each row t < i.
+    return r + i * (2 * r - i - 1) // 2 + j - i - 1
 
 
 class UpperTriangularMatrix(namedtuple("UpperTriangularMatrix", "n r cells")):
@@ -139,7 +130,7 @@ class UpperTriangularMatrix(namedtuple("UpperTriangularMatrix", "n r cells")):
             return 0
         if i == j:
             return self.cells[i]
-        return self.cells[_upper_index(self.r)[i][j]]
+        return self.cells[_cell(self.r, i, j)]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The full r x r matrix, including the zero lower triangle."""
@@ -238,6 +229,8 @@ def _product_from(pools: list, first: int):
     there on are m + 1 products in a chain: the item itself, then, for each
     position j from the last pool back to the first, the items that keep
     its digits before j, take a later digit at j and any digits after j.
+    Each product is built only when the chain reaches it, so a caller that
+    stops early pays for none of the rest.
     """
     digits = []
     for pool in reversed(pools):
@@ -245,10 +238,9 @@ def _product_from(pools: list, first: int):
         digits.append(c)
     digits.reverse()
     head = [(pool[c],) for pool, c in zip(pools, digits)]
-    parts = [product(*head)]
-    for j in range(len(pools) - 1, -1, -1):
-        parts.append(product(*head[:j], pools[j][digits[j] + 1 :], *pools[j + 1 :]))
-    return chain.from_iterable(parts)
+    js = range(len(pools) - 1, -1, -1)
+    later = (product(*head[:j], pools[j][digits[j] + 1 :], *pools[j + 1 :]) for j in js)
+    return chain(product(*head), chain.from_iterable(later))
 
 
 def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
@@ -332,11 +324,11 @@ def _leading_block(n: int, r: int, cells, k: int) -> list[list[int]]:
     cells is the cells layout of an r x r element; any prefix of it that
     holds the block's entries will do.
     """
-    upper = _upper_index(r)
-    return [
-        [(cells[i] - 1) % n if i == j else (cells[upper[i][j]] if i < j else 0) for j in range(k)]
-        for i in range(k)
-    ]
+    block = []
+    for i in range(k):
+        start = _cell(r, i, i + 1)  # row i's strict entries are contiguous
+        block.append([0] * i + [(cells[i] - 1) % n, *cells[start : start + k - 1 - i]])
+    return block
 
 
 def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -467,11 +459,14 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     reduced once and each full run is summed once per (M', c, g_r).
 
     Row i of U gives element (p, q) of a run (q its last digit) the
-    component (base + p sp + q sq) mod d_i, so the n orders along q are a
-    line that depends only on (d_i, sq, (base + p sp) mod d_i), cached for
-    the block. A row's orders are its lines joined over p; further rows
-    merge by lcm. The run sums (g_r / o) * count(o) over its distinct
-    orders o, times prod(d); a clipped run sums its span the same way.
+    component (b + q sq) mod d_i with b = (base + p sp) mod d_i, so the n
+    orders d_i / gcd(d_i, b + q sq) along q are a line that depends only on
+    (d_i, sq, b), built once and cached for the block. A row's orders are
+    its lines joined over p; further rows merge by lcm. The run sums
+    (g_r / o) * count(o) over its distinct orders o, times prod(d); a
+    clipped run sums its span the same way. The cells positions of the
+    strict entries of M' and of the fixed entries of c come from _cell once
+    per call.
 
     For r = 1 the term is gcd(n, u - 1), and gcd(n, u - 1) is the sum of
     phi(d) over the divisors d of n that divide u - 1 (Gauss). Swapping the
@@ -497,8 +492,8 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     tail = 1 if r == 2 else 2  # trailing digits, all entries of c
     run = n**tail
     ps = range(n) if tail == 2 else (0,)
-    upper = _upper_index(r)
-    strict = [upper[i][j] for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal
+    strict = [_cell(r, i, j) for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal
+    fixed_at = [_cell(r, i, k) for i in range(k - tail)]  # c's entries in the lead
     first = lo // run
     leads = _product_from(_pools(n, r)[:-tail], first)
     total = 0
@@ -506,7 +501,6 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
     run_sums: dict = {}  # (lead[k + 1:], g_r) -> sum over a full run, within the block
     lines: dict = {}  # (d_i, sq, b) -> the n orders along q, within the block
-    order_of: dict = {}  # d_i -> [d_i / gcd(d_i, w) for w < d_i], for the call
     for b, lead in enumerate(islice(leads, -(-hi // run) - first), first):
         if lead[:k] != block:
             block = lead[:k]
@@ -527,7 +521,7 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
             reduced[entries] = _cokernel(n, _leading_block(n, r, lead, k))
         d, U = reduced[entries]
         h = n // g_r
-        fixed = [lead[upper[i][k]] for i in range(k - tail)]
+        fixed = [lead[t] for t in fixed_at]
         orders = None  # ord(h c) over the run, one component at a time
         for row, di in zip(U, d):
             if di == 1:
@@ -540,10 +534,7 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
                 bp = (base + p * sp) % di
                 line = lines.get((di, sq, bp))
                 if line is None:
-                    table = order_of.get(di)
-                    if table is None:
-                        table = order_of[di] = [di // gcd(di, w) for w in range(di)]
-                    line = lines[di, sq, bp] = [table[(bp + q * sq) % di] for q in range(n)]
+                    line = lines[di, sq, bp] = [di // gcd(di, bp + q * sq) for q in range(n)]
                 column += line
             orders = column if orders is None else list(map(lcm, orders, column))
         if orders is None:
@@ -701,10 +692,9 @@ def _generators(n: int, r: int) -> list[UpperTriangularMatrix]:
     kind generate the diagonal matrices, the second the unipotent ones.
     """
     base = UpperTriangularMatrix.identity(n, r).cells
-    upper = _upper_index(r)
     unit_gens = _unit_generators(n)
     changes = [(i, u) for i in range(r) for u in unit_gens]
-    changes += [(upper[i][j], 1 % n) for i in range(r) for j in range(i + 1, r)]
+    changes += [(_cell(r, i, j), 1 % n) for i in range(r) for j in range(i + 1, r)]
     return [
         UpperTriangularMatrix(n=n, r=r, cells=base[:t] + (v,) + base[t + 1 :])
         for t, v in changes
@@ -729,8 +719,10 @@ def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tup
     space = n**r
     # n^r r^2 <= budget bounds n before units(n) is walked for the generators
     _check_budget(op, space * r * r, budget, size)
+    # len(_generators(n, r)), counted before any generator is built
+    count = r * len(_unit_generators(n)) + r * (r - 1) // 2
+    _check_budget(op, count * space * r * r, budget, size)
     gens = _generators(n, r)
-    _check_budget(op, len(gens) * space * r * r, budget, size)
 
     parent = list(range(space))
 

@@ -25,6 +25,7 @@ from menon.group_action import (
     DivisorChain,
     ResidueVector,
     UpperTriangularMatrix,
+    _cell,
     _cokernel,
     _fixed_point_sum_shard,
     _generators,
@@ -257,6 +258,15 @@ def test_matrix_entry_and_rows_roundtrip():
     assert g.rows() == ((3, 4, 5), (0, 7, 8), (0, 0, 9))
     with pytest.raises(IndexError):
         g.entry(0, 3)
+
+
+@given(r=st.integers(2, 8), data=st.data())
+def test_cell_index_is_the_row_major_position(r, data):
+    # cells are the r diagonal entries, then the strict entries row-major
+    i = data.draw(st.integers(0, r - 2))
+    j = data.draw(st.integers(i + 1, r - 1))
+    strict = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    assert _cell(r, i, j) == r + strict.index((i, j))
 
 
 def test_vector_validation():
@@ -848,6 +858,30 @@ def test_lower_bound_refuses_nothing_the_estimate_admits():
     assert fixed_point_sum(2, 5, budget=2**10 * 5**2) == 2**10 * tau_r_closed(2, 5)
 
 
+def test_sweep_of_a_trivial_group_builds_only_the_lead_it_reads():
+    # n = 1 admits large r; the leads after the first were once built
+    # eagerly, m + 1 products of m = r(r+1)/2 - 2 pools, about 1 GB here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert fixed_point_sum(1, 100) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_orbit_pass_refuses_before_building_its_generators(monkeypatch):
+    # 44 850 transvections of 45 150 cells each; the count alone refuses
+    def no_generators(n, r):
+        raise AssertionError(f"_generators({n}, {r}) called")
+
+    monkeypatch.setattr(group_action, "_generators", no_generators)
+    with pytest.raises(BudgetExceededError) as err:
+        orbits_brute_force(1, 300)
+    assert err.value.estimated_ops == (300 * 299 // 2) * 300**2
+
+
 def test_units_ascending_and_degenerate():
     assert units(1) == (0,)
     assert units(12) == (1, 5, 7, 11)
@@ -871,3 +905,18 @@ def test_group_action_does_not_import_identity():
             continue
         for name in names:
             assert "identity" not in name.split("."), f"line {node.lineno} imports {name}"
+
+
+def test_only_the_factor_and_pool_caches_keep_state():
+    # Every other function is pure per call; a new cache needs a test that
+    # shows it is hit.
+    cached = set()
+    for path in sorted(Path(group_action.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                    if name in ("cache", "lru_cache"):
+                        cached.add(f"{path.stem}.{node.name}")
+    assert cached == {"arith._factor", "group_action._pool"}

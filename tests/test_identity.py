@@ -20,7 +20,6 @@ from menon.group_action import (
     fixed_point_sum,
     fixed_points_direct,
     group_size,
-    units,
 )
 from menon.identity import (
     IdentityReport,
@@ -220,7 +219,6 @@ def test_report_consistency_check_survives_python_O():
 
 def test_sweep_memory_stays_flat_across_moduli():
     # units(n) of every swept n once stayed cached: ~N^2 growth over a range
-    units.cache_clear()
     tracemalloc.start()
     try:
         for n in range(1, 3001):
