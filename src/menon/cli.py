@@ -134,12 +134,6 @@ def _refuse(n: int, r: int, exc: BudgetExceededError) -> None:
     print(json.dumps(diag), file=sys.stderr)
 
 
-def _check_factor_budget(n: int, budget: int) -> None:
-    # Trial division runs up to isqrt(n); refuse before it starts, and
-    # without a group size, whose phi(n) would factorize n.
-    _check_budget(f"factorizing {n}", isqrt(n), budget)
-
-
 def _check_divisor_budget(n: int, r: int, budget: int) -> None:
     # tau and chains run r levels over divisor tables; no level of either
     # takes more than tau(n)^2 steps
@@ -250,7 +244,9 @@ def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
     lo, hi = args.n
     for n in range(lo, hi + 1):
         try:
-            _check_factor_budget(n, args.budget)
+            # Trial division runs up to isqrt(n); refuse before it starts,
+            # and without a group size, whose phi(n) would factorize n.
+            _check_budget(f"factorizing {n}", isqrt(n), args.budget)
             record, problem = row(n, args)
         except BudgetExceededError as exc:
             _refuse(n, args.r, exc)

@@ -18,11 +18,10 @@ to a plain tuple of the same fields.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from collections import namedtuple
 from functools import cache
 from itertools import chain, compress, islice, product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from .arith import _factor, divisors, euler_phi
 
@@ -208,22 +207,18 @@ def element_at(n: int, r: int, index: int) -> UpperTriangularMatrix:
     size = group_size(n, r)
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for group of size {size}")
-    pools = _pools(n, r)
-    cells = [0] * len(pools)
-    for t in range(len(pools) - 1, -1, -1):
-        index, d = divmod(index, len(pools[t]))
-        cells[t] = pools[t][d]
-    return UpperTriangularMatrix(n=n, r=r, cells=tuple(cells))
+    return UpperTriangularMatrix(n=n, r=r, cells=next(_product_from(_pools(n, r), index)))
 
 
 def _iter_cells(n: int, r: int, lo: int, hi: int):
-    """The cells of elements lo..hi-1 in enumeration order, as tuples."""
-    return islice(product(*_pools(n, r)), lo, hi)
+    """The cells of the elements lo..hi-1 that exist, in enumeration order,
+    as tuples. The walk starts at lo, not at element 0."""
+    return islice(_product_from(_pools(n, r), lo), max(hi - lo, 0))
 
 
 def _product_from(pools: list, first: int):
-    """product(*pools) from its index `first` on, 0 <= first < its size,
-    without walking the items before it.
+    """product(*pools) from its index `first` on, first >= 0, without
+    walking the items before it; nothing when first is past the end.
 
     first is decoded into one digit per pool in mixed radix. The items from
     there on are m + 1 products in a chain: the item itself, then, for each
@@ -236,11 +231,21 @@ def _product_from(pools: list, first: int):
     for pool in reversed(pools):
         first, c = divmod(first, len(pool))
         digits.append(c)
+    if first:  # a carry out of the most significant digit
+        return iter(())
     digits.reverse()
     head = [(pool[c],) for pool, c in zip(pools, digits)]
     js = range(len(pools) - 1, -1, -1)
     later = (product(*head[:j], pools[j][digits[j] + 1 :], *pools[j + 1 :]) for j in js)
     return chain(product(*head), chain.from_iterable(later))
+
+
+def _admit_sweep(op: str, n: int, r: int, budget: int) -> int:
+    """Refuse op, a sweep of the group, when |G| * r^2 exceeds the budget; return |G|."""
+    _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
+    size = group_size(n, r)
+    _check_budget(op, size * r * r, budget, size)
+    return size
 
 
 def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
@@ -249,10 +254,7 @@ def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
     Refuses up front (BudgetExceededError) when the estimated sweep cost
     |G| * r^2 exceeds the budget.
     """
-    op = f"enumerate_group({n}, {r})"
-    _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
-    size = group_size(n, r)
-    _check_budget(op, size * r * r, budget, size)
+    size = _admit_sweep(f"enumerate_group({n}, {r})", n, r, budget)
     return (UpperTriangularMatrix(n=n, r=r, cells=cells) for cells in _iter_cells(n, r, 0, size))
 
 
@@ -468,6 +470,9 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     strict entries of M' and of the fixed entries of c come from _cell once
     per call.
 
+    For n = 1 the term is 1: Z_1^r is the one vector, and the one element
+    fixes it, so the shard returns hi - lo without a lead.
+
     For r = 1 the term is gcd(n, u - 1), and gcd(n, u - 1) is the sum of
     phi(d) over the divisors d of n that divide u - 1 (Gauss). Swapping the
     two sums, the shard sums phi(d) times the number of its units
@@ -488,6 +493,8 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         return 0
     if r == 1:
         return _r1_shard(n, lo, hi)
+    if n == 1:  # no lead walk: it builds O(r^2) cells, a block and U, and r <= 10^4 is admitted
+        return hi - lo
     k = r - 1
     tail = 1 if r == 2 else 2  # trailing digits, all entries of c
     run = n**tail
@@ -642,10 +649,7 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     for every n <= 2^63 - 1 (n / phi(n) is largest at the primorial
     614889782588491410, where it is 7.2096).
     """
-    op = f"group sweep(n={n}, r={r})"
-    _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
-    size = group_size(n, r)
-    _check_budget(op, size * r * r, budget, size)
+    size = _admit_sweep(f"group sweep(n={n}, r={r})", n, r, budget)
     pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, size))]
     if shards == 1:
         return _fixed_point_sum_shard(pieces[0])
@@ -781,18 +785,14 @@ def count_chains(n: int, r: int) -> int:
     each of the r levels prepends a value v | m to the chains of m / v, and
     as v runs over the divisors of m so does m / v, so a level sums ways
     over the divisors of m. Those are found once per call by filtering n's
-    own divisor list: the v <= sqrt(m) with m % v == 0, each paired with
-    m / v, linked by position. Memory is those links, tau_2(n) positions,
-    and a count per divisor of n, for any r.
+    own divisor list for the v with m % v == 0, in tau(n)^2 steps, and
+    linked by position. Memory is those links, tau_2(n) positions, and a
+    count per divisor of n, for any r.
     """
     if n < 1 or r < 1:
         raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
     divs = divisors(n)
-    position = {d: k for k, d in enumerate(divs)}
-    links = []
-    for m in divs:
-        low = [v for v in divs[: bisect_right(divs, isqrt(m))] if m % v == 0]
-        links.append([position[v] for v in low] + [position[m // v] for v in low if v * v != m])
+    links = [[k for k, v in enumerate(divs) if m % v == 0] for m in divs]
     ways = [1] * len(divs)
     for _ in range(r):
         ways = [sum(map(ways.__getitem__, row)) for row in links]

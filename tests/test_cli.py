@@ -1,11 +1,14 @@
 """CLI surface: record schemas, exit codes, determinism, refusals."""
 
 import csv
+import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*argv):
+    """Run the CLI in a subprocess whose address space is capped at 1 GiB,
+    with a 20 s timeout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cap = (2**30, 2**30)
+    return subprocess.run(
+        [sys.executable, "-m", "menon.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=20, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+    )
 
 
 # --- config plumbing -----------------------------------------------------------
@@ -235,6 +251,23 @@ def test_burnside_hand_case(capsys):
     assert json.loads(out)["burnside_count"] == "3"
 
 
+def test_trivial_group_sweeps_at_the_largest_admitted_r():
+    # At n = 1 the sweep estimate is r^2, so the default budget admits
+    # r = 10^4. The sweep answers from the one element; a lead of G(1, 10^4)
+    # would head for about 10 GB, which the cap turns into a MemoryError.
+    t0 = time.perf_counter()
+    proc = run_capped("verify", "--n", "1", "--r", "10000")
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    rec = json.loads(proc.stdout)
+    assert rec["lhs"] == rec["rhs"] == rec["group_size"] == "1" and rec["matched"] is True
+    # burnside's orbit pass is still refused: 49 995 000 transvections
+    proc = run_capped("burnside", "--n", "1", "--r", "10000")
+    assert proc.returncode == EXIT_REFUSED and proc.stdout == ""
+    diag = json.loads(proc.stderr)
+    assert diag["group_size"] == "1" and diag["estimated_ops"] == str(49995000 * 10**8)
+
+
 def test_burnside_refusal(capsys):
     code, out, err = run_cli(capsys, "burnside", "--n", "40..40", "--r", "2", "--budget", "10000")
     assert code == EXIT_REFUSED and out == ""
@@ -401,13 +434,7 @@ def test_large_r_is_refused_without_a_group_order(capsys, command):
 def test_huge_r_is_refused_promptly():
     # sweeping, or only sizing, |G(2, 100000)| = 2^(r(r-1)/2) runs past any
     # timeout that a test can afford
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "menon.cli", "verify", "--n", "2", "--r", "100000"],
-        capture_output=True, text=True, env=env, timeout=20,
-    )
+    proc = run_capped("verify", "--n", "2", "--r", "100000")
     assert proc.returncode == EXIT_REFUSED and proc.stdout == ""
     assert json.loads(proc.stderr)["refused"] is True
 
@@ -421,3 +448,33 @@ def test_divisor_tables_over_budget_are_refused(capsys, command):
     diag = json.loads(line)
     assert diag["refused"] is True and "group_size" not in diag
     assert diag["estimated_ops"] == "36000" and diag["budget"] == "10000"
+
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr). A refactor keeps
+# every byte of the records and diagnostics; a change of format updates
+# these on purpose. "verify --n 1..9 --r 4" refuses n = 7..9.
+E3B0 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # no bytes
+GOLDEN = [
+    ("verify --n 1..12 --r 1", EXIT_OK,
+     "acd8eedd9cfc6b2f564dd27c473469e3fe69f473b0503d91f476b5fa2ec80761", E3B0),
+    ("verify --n 1..10 --r 2 --format csv", EXIT_OK,
+     "9431ccdba2bfcaec2e9bc98af435ab7a7858613a838a532a160e6f7a8e59656a", E3B0),
+    ("verify --n 1..6 --r 3", EXIT_OK,
+     "0c024a4989609d09f5d688b23de06997e41f7aff5ac61414399239d1bf983064", E3B0),
+    ("verify --n 1..9 --r 4", EXIT_REFUSED,
+     "273b2308b4b841c8099f6b81155ea86075b8c3cbae88a116ebe1c2832d3baec8",
+     "28bbca59f4035e54480ce9f51e49cfb6069b2c275a6b7eeb9aefe929379b4dd0"),
+    ("burnside --n 1..6 --r 2", EXIT_OK,
+     "85a42dbf18818e92ae48d2f043d7b2e4d7c6e8a4caadcaa2a861ba0140c836b6", E3B0),
+    ("chains --n 1..200 --r 4", EXIT_OK,
+     "b752e8e72726397903727fb1cfdb9f0653519ada28dff570d576e592b1641ed9", E3B0),
+    ("tau --n 1..500 --r 3", EXIT_OK,
+     "d8e7c971d3c8548aec2bb6fade568c9387b34022d55bc5d1c97bad080da12434", E3B0),
+]
+
+
+def test_records_and_diagnostics_keep_their_bytes(capsys):
+    for argv, code, out_sha, err_sha in GOLDEN:
+        got_code, out, err = run_cli(capsys, *argv.split())
+        got = (got_code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+        assert got == (code, out_sha, err_sha), argv

@@ -197,7 +197,7 @@ def test_enumeration_order_is_stable_and_indexable():
 
 
 # (n, r, lo, hi): whole groups, windows starting past 0, a window that
-# crosses several carries, and empty ranges
+# crosses several carries, empty ranges and ranges past the end
 @pytest.mark.parametrize(
     "n, r, lo, hi",
     [
@@ -211,10 +211,17 @@ def test_enumeration_order_is_stable_and_indexable():
         (3, 4, 5000, 5400),
         (3, 3, 17, 17),
         (5, 2, 80, 80),
+        (5, 2, 80, 90),
+        (4, 2, 20, 30),
+        (3, 3, 210, 300),
     ],
 )
 def test_iter_cells_walks_the_decoded_index_range(n, r, lo, hi):
-    assert list(_iter_cells(n, r, lo, hi)) == [element_at(n, r, i).cells for i in range(lo, hi)]
+    # the documented order, walked from element 0 without a decode
+    expected = list(islice(product(*_pools(n, r)), lo, hi))
+    assert list(_iter_cells(n, r, lo, hi)) == expected
+    indices = range(lo, min(hi, group_size(n, r)))
+    assert [element_at(n, r, i).cells for i in indices] == expected
 
 
 @settings(max_examples=300)
@@ -859,16 +866,35 @@ def test_lower_bound_refuses_nothing_the_estimate_admits():
 
 
 def test_sweep_of_a_trivial_group_builds_only_the_lead_it_reads():
-    # n = 1 admits large r; the leads after the first were once built
-    # eagerly, m + 1 products of m = r(r+1)/2 - 2 pools, about 1 GB here
+    # the items after the first were once built eagerly, m + 1 products of
+    # the m = r(r+1)/2 pools of G(1, r), about 1 GB here
+    pools = _pools(1, 100)
     gc.collect()
     tracemalloc.start()
     try:
-        assert fixed_point_sum(1, 100) == 1
+        assert next(_product_from(pools, 0)) == (0,) * len(pools)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_sweep_of_a_trivial_group_builds_no_lead():
+    # the budget admits r up to 10^4 at n = 1, where a lead's cells, block
+    # and U take O(r^2) memory: 97.5 MiB at r = 1000, about 10 GB at 10^4.
+    # r = 1000 goes first, so that such a sweep fails before it nears that.
+    for r in (1000, 10**4):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert fixed_point_sum(1, r) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (r, peak)
+    # the one element fixes the one vector
+    for r in range(1, 41):
+        assert _fixed_point_sum_shard((1, r, 0, 1)) == fixed_points_direct(element_at(1, r, 0)) == 1
 
 
 def test_orbit_pass_refuses_before_building_its_generators(monkeypatch):

@@ -199,10 +199,14 @@ def test_lhs_star_shard_invariance():
 
 
 def test_report_consistency_assertion():
-    with pytest.raises(AssertionError):
+    message = "report says matched=True but lhs=3, rhs=4"
+    with pytest.raises(AssertionError, match=message):
         IdentityReport(
             n=2, r=1, lhs=3, rhs=4, group_size=1, matched=True, elapsed=0.0, shards=1
         )
+    # positional fields take the same check
+    with pytest.raises(AssertionError, match=message):
+        IdentityReport(2, 1, 3, 4, 1, True, 0.0, 1)
 
 
 def test_report_consistency_check_survives_python_O():
