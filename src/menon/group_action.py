@@ -22,6 +22,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain, compress, islice, product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .arith import _factor, divisors, euler_phi
 
@@ -196,9 +197,32 @@ def group_size(n: int, r: int) -> int:
     return n ** (r * (r - 1) // 2) * euler_phi(n) ** r
 
 
-def _pools(n: int, r: int) -> list:
-    # Digit pools in significance order (matches the cells layout).
-    us = units(n)
+class _UnitsByIndex:
+    """units(n) as a sequence that holds none of them: its len is phi(n),
+    and item k is the least x with k + 1 units below x, minus one, found
+    by _unit_residue's bisection. A pool for decoding one index, which
+    then costs O(2^omega(n) log n) operations and no O(n) tuple."""
+
+    __slots__ = ("n", "primes", "size")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.primes = [p for p, _ in _factor(n)]
+        self.size = euler_phi(n)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> int:
+        if not 0 <= k < self.size:
+            raise IndexError(f"unit index {k} out of range for {self.size} units")
+        return _unit_residue(self.n, self.primes, k + 1) - 1
+
+
+def _pools(n: int, r: int, us=None) -> list:
+    # Digit pools in significance order (matches the cells layout); us is
+    # the pool of diagonal digits, units(n) unless given.
+    us = units(n) if us is None else us
     return [us] * r + [range(n)] * (r * (r - 1) // 2)
 
 
@@ -207,7 +231,8 @@ def element_at(n: int, r: int, index: int) -> UpperTriangularMatrix:
     size = group_size(n, r)
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for group of size {size}")
-    return UpperTriangularMatrix(n=n, r=r, cells=next(_product_from(_pools(n, r), index)))
+    pools = _pools(n, r, _UnitsByIndex(n))
+    return UpperTriangularMatrix(n=n, r=r, cells=next(_product_from(pools, index)))
 
 
 def _iter_cells(n: int, r: int, lo: int, hi: int):
@@ -440,6 +465,38 @@ def _r1_shard(n: int, lo: int, hi: int) -> int:
     return total
 
 
+def _run_sum(n: int, run: int, term: tuple, start: int, stop: int) -> int:
+    """Sum of g_r / ord(h c) over the elements start..stop-1 of a run of
+    run = n or n^2 elements.
+
+    term is (g_r, then d_i, base, sp, sq for each cokernel row with
+    d_i > 1). Element e = p n + q of the run has the component
+    base + p sp + q sq in row i, and its order is the lcm over the rows of
+    d_i / gcd(d_i, component); the orders are summed once per distinct
+    value. A clipped span takes a gcd per element and row. A full run
+    builds each row's orders from lines: the n orders along q repeat with
+    period d_i / gcd(d_i, sq), and the lines along p with period
+    d_i / gcd(d_i, sp), so a row takes at most d_i^2 gcds.
+    """
+    g_r = term[0]
+    orders = None
+    for t in range(1, len(term), 4):
+        di, base, sp, sq = term[t : t + 4]
+        if stop - start < run:
+            column = [di // gcd(di, base + e // n * sp + e % n * sq) for e in range(start, stop)]
+        else:
+            per_q, per_p = di // gcd(di, sq), min(di // gcd(di, sp), run // n)
+            column = []
+            for p in range(per_p):
+                line = [di // gcd(di, base + p * sp + q * sq) for q in range(per_q)]
+                column += line * (n // per_q)
+            column *= run // n // per_p
+        orders = column if orders is None else list(map(lcm, orders, column))
+    if orders is None:
+        return g_r * (stop - start)
+    return sum(g_r // o * orders.count(o) for o in set(orders))
+
+
 def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     """Sum of |X^g| over the elements lo..hi-1.
 
@@ -451,24 +508,31 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     because x_r = t h for t in Z_{g_r}, and x' then exists (in |ker M'|
     ways) exactly when t h c lies in the image of M'. The last enumeration
     digit (r = 2) or two (r >= 3) are entries of c, so a lead (the cells
-    before them) fixes a run of n or n^2 elements whose (U h c)_i mod d_i
-    is affine in those digits.
+    before them) fixes a run of n or n^2 elements. Row i of U gives element
+    (p, q) of a run (q its last digit) the component (base + p sp + q sq)
+    mod d_i, where base, sp and sq are h times row i of U against the
+    fixed entries of c and its last two positions.
 
     A run's sum depends on its lead only through M', the fixed entries of
     c and g_r, not through a_rr itself (the substitution step in Sury's
-    Burnside proof of Menon's identity). The leads that share the diagonal
-    of M' form one contiguous block, so within a block each distinct M' is
-    reduced once and each full run is summed once per (M', c, g_r).
+    Burnside proof of Menon's identity). Three tables follow from that:
 
-    Row i of U gives element (p, q) of a run (q its last digit) the
-    component (b + q sq) mod d_i with b = (base + p sp) mod d_i, so the n
-    orders d_i / gcd(d_i, b + q sq) along q are a line that depends only on
-    (d_i, sq, b), built once and cached for the block. A row's orders are
-    its lines joined over p; further rows merge by lcm. The run sums
-    (g_r / o) * count(o) over its distinct orders o, times prod(d); a
-    clipped run sums its span the same way. The cells positions of the
-    strict entries of M' and of the fixed entries of c come from _cell once
-    per call.
+      * the leads that share the diagonal of M' (a block) are contiguous,
+        and within a block each distinct M' is reduced once;
+      * within a block a_rr is the most significant digit left, so each
+        unit a_rr owns a contiguous sub-block of leads, whose sum depends
+        on a_rr only through g_r. A sub-block wholly inside [lo, hi) whose
+        g_r class the block has already summed adds that sum, and its
+        leads are consumed from the iterator unread;
+      * a full run's sum is prod(d) times a sum fixed by g_r and the terms
+        (d_i, base, sp, sq) of each row with d_i > 1, so that sum is kept
+        for the call, keyed by those terms as one flat tuple, and computed
+        only the first time they occur.
+
+    A run clipped by a shard bound, and so every single-element call, is
+    summed element by element (_run_sum over its span). The cells positions
+    of the strict entries of M' and of the fixed entries of c come from
+    _cell once per call.
 
     For n = 1 the term is 1: Z_1^r is the one vector, and the one element
     fixes it, so the shard returns hi - lo without a lead.
@@ -498,60 +562,55 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     k = r - 1
     tail = 1 if r == 2 else 2  # trailing digits, all entries of c
     run = n**tail
-    ps = range(n) if tail == 2 else (0,)
+    sub = n ** (r * k // 2 - tail)  # leads per a_rr: one per value of the lead's strict digits
     strict = [_cell(r, i, j) for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal
     fixed_at = [_cell(r, i, k) for i in range(k - tail)]  # c's entries in the lead
     first = lo // run
-    leads = _product_from(_pools(n, r)[:-tail], first)
+    leads = islice(_product_from(_pools(n, r)[:-tail], first), -(-hi // run) - first)
     total = 0
     block = None
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
-    run_sums: dict = {}  # (lead[k + 1:], g_r) -> sum over a full run, within the block
-    lines: dict = {}  # (d_i, sq, b) -> the n orders along q, within the block
-    for b, lead in enumerate(islice(leads, -(-hi // run) - first), first):
-        if lead[:k] != block:
-            block = lead[:k]
-            reduced.clear()
-            run_sums.clear()
-            lines.clear()
-        g_r = gcd(n, lead[k] - 1)
-        start, stop = max(lo - b * run, 0), min(hi - b * run, run)
-        full = start == 0 and stop == run
-        if full:
-            key = (lead[k + 1 :], g_r)
-            part = run_sums.get(key)
-            if part is not None:
-                total += part
-                continue
-        entries = tuple(lead[t] for t in strict)
+    classes: dict = {}  # g_r -> sum over a whole a_rr sub-block, within the block
+    terms: dict = {}  # (g_r, d_i, base, sp, sq, ...) -> a full run's sum before the factor prod(d), within the call
+    b = first - 1
+    for lead in leads:
+        b += 1
+        if b % sub == 0 or b == first:  # a new a_rr, and perhaps a new block
+            if lead[:k] != block:
+                block = lead[:k]
+                reduced.clear()
+                classes.clear()
+            g_r = gcd(n, lead[k] - 1)
+            h = n // g_r
+            mark = None  # total at the start of a sub-block wholly inside [lo, hi)
+            if b % sub == 0 and lo <= b * run and (b + sub) * run <= hi:
+                if g_r in classes:
+                    total += classes[g_r]
+                    next(islice(leads, sub - 1, sub - 1), None)
+                    b += sub - 1
+                    continue
+                mark = total
+        entries = tuple(map(lead.__getitem__, strict))
         if entries not in reduced:
             reduced[entries] = _cokernel(n, _leading_block(n, r, lead, k))
         d, U = reduced[entries]
-        h = n // g_r
-        fixed = [lead[t] for t in fixed_at]
-        orders = None  # ord(h c) over the run, one component at a time
+        fixed = list(map(lead.__getitem__, fixed_at))
+        term = [g_r]
         for row, di in zip(U, d):
-            if di == 1:
-                continue
-            base = h * sum(u * c for u, c in zip(row, fixed)) % di
-            sp = h * row[-2] % di if tail == 2 else 0
-            sq = h * row[-1] % di
-            column = []
-            for p in ps:
-                bp = (base + p * sp) % di
-                line = lines.get((di, sq, bp))
-                if line is None:
-                    line = lines[di, sq, bp] = [di // gcd(di, bp + q * sq) for q in range(n)]
-                column += line
-            orders = column if orders is None else list(map(lcm, orders, column))
-        if orders is None:
-            part = prod(d) * g_r * (stop - start)
+            if di > 1:
+                base = h * sum(map(mul, row, fixed)) % di
+                term += (di, base, h * row[-2] % di if tail == 2 else 0, h * row[-1] % di)
+        term = tuple(term)
+        offset = b * run
+        if lo <= offset and offset + run <= hi:
+            part = terms.get(term)
+            if part is None:
+                part = terms[term] = _run_sum(n, run, term, 0, run)
         else:
-            span = orders if full else orders[start:stop]
-            part = prod(d) * sum(g_r // o * span.count(o) for o in set(span))
-        if full:
-            run_sums[key] = part
-        total += part
+            part = _run_sum(n, run, term, max(lo - offset, 0), min(hi - offset, run))
+        total += prod(d) * part
+        if mark is not None and b % sub == sub - 1:
+            classes[g_r] = total - mark
     return total
 
 

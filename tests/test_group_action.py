@@ -238,6 +238,31 @@ def test_product_from_starts_where_islice_does(r, data):
     assert list(_product_from(pools, first)) == list(islice(product(*pools), first, None))
 
 
+def test_element_at_decodes_units_without_listing_them():
+    # The diagonal digits are read by bisection on the count of units below
+    # x, not from units(n): that tuple takes about 160 MiB at n = 10^7.
+    for n in range(1, 301):
+        us = units(n)
+        assert [element_at(n, 1, k).cells for k in range(len(us))] == [(u,) for u in us], n
+        for k in {0, len(us) ** 2 // 2, len(us) ** 2 - 1}:  # (a_11, a_22) by index
+            i, j = divmod(k, len(us))
+            assert [element_at(n, 2, k * n + x).cells for x in (0, n - 1)] == [
+                (us[i], us[j], x) for x in (0, n - 1)
+            ], (n, k)
+    n = 10**7
+    phi = euler_phi(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = [element_at(n, 1, k).cells for k in (0, 1, phi - 1)]
+        got += [element_at(n, 2, k).cells for k in (0, group_size(n, 2) - 1)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [(1,), (3,), (n - 1,), (1, 1, 0), (n - 1, n - 1, n - 1)]
+    assert peak < 2**20, peak
+
+
 def test_enumerate_group_refuses_over_budget():
     with pytest.raises(BudgetExceededError) as err:
         enumerate_group(100, 4, budget=1000)
@@ -537,14 +562,16 @@ def test_sweep_kernel_splits_inside_every_inner_run(n, r, run):
     + [(5, 4, 2 * group_size(5, 4) // 4**3)],
 )
 def test_full_runs_sum_as_their_elements_do(n, r, hi):
-    # a full sweep reuses each block's reductions and run sums
+    # a full sweep reuses each block's reductions and class sums, and the
+    # call's full-run sums
     assert sweep(n, r, 0, hi) == clipped_sweep(n, r, 0, hi)
 
 
-# Cokernels with two nontrivial factors, so a run's orders are an lcm of two
-# cached lines, and several g_r classes per block, so lines cached for one
-# class can be read by another. (12, 3) is cut to its first two diagonal
-# blocks and (6, 4) to its first, phi(n) * n^(r(r-1)/2) elements each.
+# Cokernels with two nontrivial factors, so a full run's orders are an lcm
+# of two rows' lines, and several g_r classes per block, so the call's
+# table of full-run sums is read across classes and blocks. (12, 3) is cut
+# to its first two diagonal blocks and (6, 4) to its first,
+# phi(n) * n^(r(r-1)/2) elements each.
 @pytest.mark.parametrize(
     "n, r, hi",
     [(8, 3, group_size(8, 3)), (12, 3, 2 * 4 * 12**3), (6, 4, 2 * 6**6)],
@@ -563,10 +590,11 @@ def test_cached_lines_sum_as_their_elements_do(n, r, hi, monkeypatch):
 
 
 def test_sweep_lines_are_bounded_and_freed_per_call():
-    # The lines of one block take at most n * (sum of d^2 over d | n) list
-    # slots: the sweep peaks at about 220 KB at n = 20, and at 300 KB if
-    # the lines are kept for the whole call. Nothing of them is kept once
-    # the call returns. A full collection clears the free lists first.
+    # A full run's orders are built from lines and dropped once its sum is
+    # in the call's table of full-run sums; that table, one block's
+    # reductions and class sums peak at about 200 KB at n = 20. Nothing of
+    # them is kept once the call returns. A full collection clears the
+    # free lists first.
     gc.collect()
     tracemalloc.start()
     try:
@@ -578,6 +606,56 @@ def test_sweep_lines_are_bounded_and_freed_per_call():
         tracemalloc.stop()
     assert peak < 256 * 2**10, peak
     assert held < 4 * 2**10, held
+
+
+def test_largest_r3_sweep_is_bounded_and_freed_per_call():
+    # (24, 3) is the largest r = 3 group the default budget admits
+    # (|G| r^2 = 6.4 * 10^7; n = 25..30 are refused). Its table of full-run
+    # sums holds about 1100 flat tuples, and the sweep peaked at 314 KiB;
+    # nothing of it is kept once the call returns.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert fixed_point_sum(24, 3) == group_size(24, 3) * tau_r_closed(24, 3)
+        _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2**10, peak
+    assert held < 4 * 2**10, held
+
+
+def class_boundaries(n, r, hi):
+    """Each a_rr sub-block boundary c in [0, hi], with the window of whole
+    diagonal blocks around c - run and c + run, clipped to [0, hi]."""
+    run = n ** min(r - 1, 2)
+    sub = n ** (r * (r - 1) // 2)  # elements per a_rr: every strict entry over Z_n
+    block = len(units(n)) * sub  # elements per diagonal of M'
+    for c in range(0, hi + 1, sub):
+        lo_w = max(c - run, 0) // block * block
+        hi_w = min(-(-min(c + run, hi) // block) * block, hi)
+        yield c, run, block, lo_w, hi_w
+
+
+# (9, 3) has three g_r classes among its six units, so most blocks skip
+# three sub-blocks; (4, 4) is cut to its first diagonal block, two
+# sub-blocks with fixed entries of c in their leads.
+@pytest.mark.parametrize("n, r, hi", [(9, 3, group_size(9, 3)), (4, 4, 4**6 * 2)])
+def test_sweep_splits_at_every_class_boundary(n, r, hi):
+    # A sub-block whose g_r class the block has summed is skipped only when
+    # it lies wholly inside the call; cuts at each boundary, one run either
+    # side of it and one element past it clip the sub-blocks around it.
+    clipped = {}
+    for c, run, block, lo_w, hi_w in class_boundaries(n, r, hi):
+        for b in range(lo_w, hi_w, block):
+            if b not in clipped:
+                clipped[b] = clipped_sweep(n, r, b, b + block)
+        whole = sweep(n, r, lo_w, hi_w)
+        assert whole == sum(clipped[b] for b in range(lo_w, hi_w, block)), c
+        for cut in (c - run, c, c + 1, c + run):
+            if lo_w <= cut <= hi_w:
+                assert sweep(n, r, lo_w, cut) + sweep(n, r, cut, hi_w) == whole, (c, cut)
 
 
 @pytest.mark.parametrize("n, r", [(9, 2), (9, 3), (4, 4)])
@@ -906,6 +984,20 @@ def test_orbit_pass_refuses_before_building_its_generators(monkeypatch):
     with pytest.raises(BudgetExceededError) as err:
         orbits_brute_force(1, 300)
     assert err.value.estimated_ops == (300 * 299 // 2) * 300**2
+
+
+def test_sweep_reads_units_through_the_module_name(monkeypatch):
+    # perfbench/tracer.py counts units(n) calls by rebinding
+    # group_action.units, so the sweep must look the name up per call
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return units(n)
+
+    monkeypatch.setattr(group_action, "units", counted)
+    assert fixed_point_sum(5, 3) == group_size(5, 3) * tau_r_closed(5, 3)
+    assert calls == [5]
 
 
 def test_units_ascending_and_degenerate():
