@@ -371,7 +371,21 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
 
     U is returned reduced mod n, which every d_i divides.
 
-    One smallest-pivot loop: each pass for t swaps the nonzero entry p of
+    Two routes. A 2 x 2 block [[a, b], [0, c]] (every M' of an r = 3 sweep,
+    and the k = 2 blocks of compute_dk) is reduced mod n, with a = 0 read
+    as n, by alternate extended-gcd steps. A column step takes
+    x a + y b = g from the top row and multiplies by [[x, -b/g], [y, a/g]]:
+    the top row becomes (g, 0) and the bottom row (c y, c a/g). A row step
+    does the same to the first column by the transposed matrix, mirrored in
+    U. Each step needs the off-diagonal entry it does not clear to be 0,
+    which holds from the start only when the lower-left entry is, so that
+    shape alone takes this route. Euclid runs on (b, a), so a | b gives
+    (x, y) = (1, 0), a plain subtraction that ends the loop; any other step
+    leaves g < a. A step that leaves an off-diagonal entry without
+    shrinking a raises, so a broken step fails instead of looping.
+
+    Every other block (k >= 3, or a nonzero lower-left entry) takes one
+    smallest-pivot loop: each pass for t swaps the nonzero entry p of
     least absolute value in rows and columns t.. to (t, t), then subtracts
     floor(a / p) times row t from each row below and column t from each
     column to its right. Row operations are mirrored in U; column ones need
@@ -382,6 +396,21 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
     zero, each remaining factor is Z/n.
     """
     k = len(mat)
+    if k == 2 and not mat[1][0] % n:
+        (a, b), (_, c) = mat
+        a, b, c = a % n or n, b % n, c % n
+        u, v, w, z, on_rows = 1, 0, 0, 1, False  # U = [[u, v], [w, z]]
+        while b:
+            g, x, y, s, x1, y1 = b, 0, 1, a, 1, 0
+            while s:
+                q = g // s
+                g, x, y, s, x1, y1 = s, x1, y1, g - q * s, x - q * x1, y - q * y1
+            if on_rows:
+                u, v, w, z = x * u + y * w, x * v + y * z, (a * w - b * u) // g, (a * z - b * v) // g
+            a, b, c, on_rows, last = g, c * y % n, c * (a // g) % n, not on_rows, a
+            if b and a >= last:
+                raise AssertionError(f"2 x 2 reduction stalled at {a} mod {n}")
+        return [gcd(n, a), gcd(n, c)], [[u % n, v % n], [w % n, z % n]]
     U = [[int(i == j) for j in range(k)] for i in range(k)]
     d = []
     t = 0

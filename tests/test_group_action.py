@@ -10,6 +10,7 @@ import gc
 import pickle
 import random
 import tracemalloc
+from functools import cache
 from itertools import islice, product
 from math import gcd, lcm, prod
 from pathlib import Path
@@ -414,27 +415,64 @@ def test_sampled_equivalence_on_instance_too_big_for_full_sweep():
 # --- the sweep kernel ------------------------------------------------------------------
 
 
-@settings(max_examples=200)
-@given(k=st.integers(0, 4), data=st.data())
-def test_cokernel_matches_brute_force_on_arbitrary_matrices(k, data):
-    # k = 0 is the empty block that compute_dk reduces, k = 4 the leading
-    # block of an r = 5 sweep; entries past +-n leave remainders, so a
-    # pivot can take several passes
-    n = data.draw(st.integers(1, 5 if k == 4 else 8))
-    rows = [[data.draw(st.integers(-3 * n, 3 * n)) for _ in range(k)] for _ in range(k)]
+def assert_cokernel_contract(n, rows):
+    """_cokernel's (d, U) for rows gives the brute-force kernel size, image
+    membership and order of every vector."""
     d, U = _cokernel(n, [row[:] for row in rows])
+    residues = tuple(tuple(x % n for x in row) for row in rows)
+    check_cokernel(n, residues, tuple(d), tuple(map(tuple, U)))
+
+
+@cache  # the check depends on rows only mod n: each distinct answer is checked once
+def check_cokernel(n, rows, d, U):
+    k = len(rows)
     space = list(product(range(n), repeat=k))
 
     def image_of(x):
         return tuple(sum(rows[i][j] * x[j] for j in range(k)) % n for i in range(k))
 
     image = {image_of(x) for x in space}
-    assert prod(d) == sum(1 for x in space if not any(image_of(x)))
+    assert prod(d) == sum(1 for x in space if not any(image_of(x))), (n, rows, d)
     for v in space:
         w = [sum(U[i][j] * v[j] for j in range(k)) for i in range(k)]
-        assert all(wi % di == 0 for wi, di in zip(w, d)) == (v in image)
+        assert all(wi % di == 0 for wi, di in zip(w, d)) == (v in image), (n, rows, v)
         order = next(t for t in range(1, n + 1) if tuple(t * x % n for x in v) in image)
-        assert lcm(*(di // gcd(di, wi) for wi, di in zip(w, d))) == order
+        assert lcm(*(di // gcd(di, wi) for wi, di in zip(w, d))) == order, (n, rows, v)
+
+
+@settings(max_examples=200)
+@given(k=st.integers(0, 4), data=st.data())
+def test_cokernel_matches_brute_force_on_arbitrary_matrices(k, data):
+    # k = 0 is the empty block that compute_dk reduces, k = 4 the leading
+    # block of an r = 5 sweep; entries past +-n leave remainders, so a
+    # pivot can take several passes. Upper-triangular draws send k = 2 to
+    # the extended-gcd route, whose Euclid steps take several rounds there
+    n = data.draw(st.integers(1, 5 if k == 4 else 8))
+    rows = [[data.draw(st.integers(-3 * n, 3 * n)) for _ in range(k)] for _ in range(k)]
+    if data.draw(st.booleans()):
+        rows = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    assert_cokernel_contract(n, rows)
+
+
+def test_cokernel_meets_its_contract_on_every_small_triangular_block():
+    # every [[a, b], [0, c]] mod n <= 8, the extended-gcd route; entries in
+    # [-n, 2n), so negative entries and entries of n or more reach it too
+    for n in range(1, 9):
+        for a, b, c in product(range(-n, 2 * n), repeat=3):
+            assert_cokernel_contract(n, [[a, b], [0, c]])
+
+
+def test_cokernel_meets_its_contract_on_every_small_2x2_block():
+    # a nonzero lower-left entry must keep the general loop
+    for n in range(1, 6):
+        for a, b, e, c in product(range(n), repeat=4):
+            assert_cokernel_contract(n, [[a, b], [e, c]])
+
+
+def test_cokernel_ends_where_one_entry_divides_the_other():
+    # mod 2, Euclid on (1, 1) can give the Bezout pair (0, 1), whose column
+    # and row steps undo each other forever; a | b must be a subtraction
+    assert_cokernel_contract(2, [[1, 1], [0, 1]])
 
 
 def sweep(n, r, lo, hi):
