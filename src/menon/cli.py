@@ -6,6 +6,10 @@ chains (divisor-chain counts), bench (sweep timings). All five share one
 per-modulus loop (_run): each n is first held to the isqrt(n) budget of
 factorizing it by trial division, then handed to the subcommand's row
 function, which returns the record and any mismatch or disagreement.
+tau_r_recursive reads n only through its exponent tuple, so tau, chains
+and burnside run it for the first n of each tuple and reuse its value for
+the rest, from a table of one entry per tuple met that _run drops on
+return; every n still gets its own closed form or chain count to check.
 
 Machine-readable records go to stdout (or --out) as JSON lines or RFC-4180
 CSV. All exact integers are serialized as decimal strings. Record streams
@@ -34,7 +38,7 @@ import sys
 import time
 from math import isqrt
 
-from .arith import FACTORIZE_MAX, tau, tau2_explicit, tau_r_closed, tau_r_recursive
+from .arith import FACTORIZE_MAX, _factor, tau, tau2_explicit, tau_r_closed, tau_r_recursive
 from .group_action import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -136,16 +140,27 @@ def _refuse(n: int, r: int, exc: BudgetExceededError) -> None:
 
 def _check_divisor_budget(n: int, r: int, budget: int) -> None:
     # tau and chains run r levels over divisor tables; no level of either
-    # takes more than tau(n)^2 steps
+    # takes more than tau(n)^2 steps. The recursion runs only for the first
+    # n of each exponent tuple, which this still bounds; a refused n neither
+    # reads nor writes the tau_r table.
     _check_budget(f"divisor tables of {n}", r * tau(n) ** 2, budget)
 
 
-# A row function maps one modulus and the parsed arguments to (record,
-# problem): the record to write, and the mismatch or disagreement to report
-# on stderr, or None.
+def _tau_r(n: int, r: int, shapes: dict[tuple[int, ...], int]) -> int:
+    # tau_r_recursive(n, r), run once per exponent tuple of n in prime order
+    shape = tuple([a for _, a in _factor(n)])
+    value = shapes.get(shape)
+    if value is None:
+        value = shapes[shape] = tau_r_recursive(n, r)
+    return value
 
 
-def _verify_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+# A row function maps one modulus, the parsed arguments and the
+# invocation's tau_r table (for _tau_r) to (record, problem): the record to
+# write, and the mismatch or disagreement to report on stderr, or None.
+
+
+def _verify_row(n: int, args: argparse.Namespace, _shapes: dict) -> tuple[dict, str | None]:
     rep = verify_star(n, args.r, budget=args.budget, shards=args.shards)
     record = {
         "n": str(rep.n),
@@ -162,11 +177,11 @@ def _verify_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
     return record, f"identity mismatch at n={n}, r={args.r}: lhs={rep.lhs} rhs={rep.rhs}"
 
 
-def _burnside_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+def _burnside_row(n: int, args: argparse.Namespace, shapes: dict) -> tuple[dict, str | None]:
     burnside = orbit_count_burnside(n, args.r, budget=args.budget, shards=args.shards)
     unionfind = len(orbits_brute_force(n, args.r, budget=args.budget))
     chains = count_chains(n, args.r)
-    t_r = tau_r_recursive(n, args.r)
+    t_r = _tau_r(n, args.r, shapes)
     agree = burnside == unionfind == chains == t_r
     record = {
         "n": str(n),
@@ -185,9 +200,9 @@ def _burnside_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
     )
 
 
-def _tau_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+def _tau_row(n: int, args: argparse.Namespace, shapes: dict) -> tuple[dict, str | None]:
     _check_divisor_budget(n, args.r, args.budget)
-    recursive = tau_r_recursive(n, args.r)
+    recursive = _tau_r(n, args.r, shapes)
     closed = tau_r_closed(n, args.r)
     paths = {recursive, closed}
     if args.r == 2:
@@ -198,10 +213,10 @@ def _tau_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
     return record, f"tau_r path disagreement at n={n}, r={args.r}: {sorted(paths)}"
 
 
-def _chains_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+def _chains_row(n: int, args: argparse.Namespace, shapes: dict) -> tuple[dict, str | None]:
     _check_divisor_budget(n, args.r, args.budget)
     chains = count_chains(n, args.r)
-    t_r = tau_r_recursive(n, args.r)
+    t_r = _tau_r(n, args.r, shapes)
     agree = chains == t_r
     record = {
         "n": str(n),
@@ -215,7 +230,7 @@ def _chains_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
     return record, f"chain-count disagreement at n={n}, r={args.r}"
 
 
-def _bench_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
+def _bench_row(n: int, args: argparse.Namespace, _shapes: dict) -> tuple[dict, str | None]:
     t0 = time.perf_counter()
     lhs = lhs_star(n, args.r, budget=args.budget, shards=args.shards)
     elapsed = time.perf_counter() - t0
@@ -233,13 +248,14 @@ def _bench_row(n: int, args: argparse.Namespace) -> tuple[dict, str | None]:
 
 
 def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
-    """Write row(n, args)'s record for every n in range, unless a budget refuses n.
+    """Write row(n, args, shapes)'s record for every n in range, unless a budget refuses n.
 
     Each n first passes the isqrt(n) factor budget, since every row
     factorizes n. Problems go to stderr as they come; a mismatch outranks
     a refusal in the exit code.
     """
     writer = RecordWriter(fields, args.fmt, out)
+    shapes: dict[tuple[int, ...], int] = {}  # this call's tau_r table
     mismatched = refused = False
     lo, hi = args.n
     for n in range(lo, hi + 1):
@@ -247,7 +263,7 @@ def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
             # Trial division runs up to isqrt(n); refuse before it starts,
             # and without a group size, whose phi(n) would factorize n.
             _check_budget(f"factorizing {n}", isqrt(n), args.budget)
-            record, problem = row(n, args)
+            record, problem = row(n, args, shapes)
         except BudgetExceededError as exc:
             _refuse(n, args.r, exc)
             refused = True

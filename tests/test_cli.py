@@ -1,14 +1,17 @@
 """CLI surface: record schemas, exit codes, determinism, refusals."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -399,7 +402,7 @@ def test_factorization_over_budget_is_refused_unfactorized(capsys, monkeypatch, 
         raise AssertionError(f"trial division of {n} called")
 
     # _factor runs the trial division for factorize and everything else
-    for module in (arith, group_action):
+    for module in (arith, group_action, cli):
         monkeypatch.setattr(module, "_factor", no_trial_division)
     code, out, err = run_cli(capsys, command, "--n", "1000000000000000003", "--r", "2")
     assert code == EXIT_REFUSED and out == ""
@@ -478,3 +481,96 @@ def test_records_and_diagnostics_keep_their_bytes(capsys):
         got_code, out, err = run_cli(capsys, *argv.split())
         got = (got_code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
         assert got == (code, out_sha, err_sha), argv
+
+
+# --- the per-invocation tau_r table -----------------------------------------------
+
+
+def shape(n):
+    # the exponent tuple of n in prime order, all that tau_r_recursive reads
+    return tuple(a for _, a in arith.factorize(n))
+
+
+def count_recursions(monkeypatch, wrong_shape=None):
+    """Patch cli.tau_r_recursive to record each n it runs on; at wrong_shape
+    it returns one more than the true value."""
+    real = cli.tau_r_recursive
+    seen = []
+
+    def recursion(n, r):
+        seen.append(n)
+        return real(n, r) + (shape(n) == wrong_shape)
+
+    monkeypatch.setattr(cli, "tau_r_recursive", recursion)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "argv", ["tau --n 1..2000 --r 6", "chains --n 1..300 --r 5", "burnside --n 1..16 --r 2"]
+)
+def test_tau_r_recursion_runs_once_per_exponent_tuple(capsys, monkeypatch, argv):
+    # through the cli name, so that a rebinding of it sees every run
+    seen = count_recursions(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv.split())
+    _, hi = parse_range(argv.split()[2])
+    assert code == EXIT_OK and len(out.splitlines()) == hi
+    assert sorted(map(shape, seen)) == sorted({shape(n) for n in range(1, hi + 1)})
+
+
+@pytest.mark.parametrize("command", ["tau", "chains"])
+def test_a_wrong_table_entry_is_reported_at_every_modulus_of_its_tuple(capsys, monkeypatch, command):
+    # the recursion errs once, at n = 12; the closed form or the chain count
+    # of each later n of shape (2, 1) still disagrees with the reused value
+    seen = count_recursions(monkeypatch, wrong_shape=(2, 1))
+    code, out, err = run_cli(capsys, command, "--n", "1..100", "--r", "2")
+    assert code == EXIT_MISMATCH and len(out.splitlines()) == 100
+    reported = [int(n) for n in re.findall(r"disagreement at n=(\d+),", err)]
+    assert len(err.splitlines()) == len(reported)
+    assert reported == [n for n in range(1, 101) if shape(n) == (2, 1)]  # 12, 20, ..., 99
+    assert seen.count(12) == 1 and not set(seen) & set(reported[1:])
+
+
+# (argv, sha256 of stdout, sha256 of stderr), taken before the table was
+# added. The divisor budget refuses every n of some exponent tuples: tau(n)
+# >= 9 for the first (36, 48, 60, 72, 80), tau(n) >= 8 for the second.
+REFUSALS_AMONG_HITS = [
+    ("tau --n 1..80 --r 4 --budget 300",
+     "9cb951830260ecaf6938aa54fe71557cd6f9ebde57555e6b9d86e102d257e595",
+     "fdbfd998ebbc4fd9064869ff3d0e701d00d1cb0b950262ae0408a0695efda7e1"),
+    ("chains --n 1..80 --r 3 --budget 150",
+     "0e119146a7483c1f9efecc76a9140eaf5cec9ca86c428111b5481f8b0822b46f",
+     "1c6fb48e6367be6b0b4900bb5ae1375b130bd39cd09678ab7028bffa34d8e48f"),
+]
+
+
+@pytest.mark.parametrize("argv, out_sha, err_sha", REFUSALS_AMONG_HITS)
+def test_refusals_between_table_hits_keep_their_bytes(capsys, monkeypatch, argv, out_sha, err_sha):
+    seen = count_recursions(monkeypatch)
+    code, out, err = run_cli(capsys, *argv.split())
+    got = (code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
+    assert got == (EXIT_REFUSED, out_sha, err_sha)
+    # the budget refuses whole tuples, so a refused n that read or wrote
+    # the table would miss it and add its own tuple to seen
+    refused = {int(json.loads(line)["n"]) for line in err.splitlines()}
+    admitted = {shape(n) for n in range(1, 81) if n not in refused}
+    assert not {shape(n) for n in refused} & admitted
+    assert sorted(map(shape, seen)) == sorted(admitted)
+
+
+def test_the_tau_r_table_is_freed_when_the_call_returns(tmp_path):
+    # 20 000 moduli hold 193 exponent tuples: a table of about 28 KB while
+    # the call runs, nothing after it. The peak measured 0.22 MB on CPython
+    # 3.11; a table keyed by n would hold 20 000 entries, over 1 MB.
+    out = tmp_path / "tau.txt"
+    main(["tau", "--n", "1", "--r", "6", "--out", str(out)])  # argparse's lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["tau", "--n", "1..20000", "--r", "6", "--out", str(out)])
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and len(out.read_text().splitlines()) == 20000
+    assert held < 8 * 2**10, held
+    assert peak < 512 * 2**10, peak
