@@ -6,10 +6,9 @@ chains (divisor-chain counts), bench (sweep timings). All five share one
 per-modulus loop (_run): each n is first held to the isqrt(n) budget of
 factorizing it by trial division, then handed to the subcommand's row
 function, which returns the record and any mismatch or disagreement.
-tau_r_recursive reads n only through its exponent tuple, so tau, chains
-and burnside run it for the first n of each tuple and reuse its value for
-the rest, from a table of one entry per tuple met that _run drops on
-return; every n still gets its own closed form or chain count to check.
+tau_r_recursive reads n only through its exponent tuple, so all but bench
+run it once per tuple met, from a table that _run drops on return; each
+n still gets its own sweep, closed form or chain count to check.
 
 Machine-readable records go to stdout (or --out) as JSON lines or RFC-4180
 CSV. All exact integers are serialized as decimal strings. Record streams
@@ -44,11 +43,11 @@ from .group_action import (
     BudgetExceededError,
     _check_budget,
     count_chains,
+    fixed_point_sum,
     group_size,
     orbit_count_burnside,
     orbits_brute_force,
 )
-from .identity import lhs_star, verify_star
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -160,21 +159,24 @@ def _tau_r(n: int, r: int, shapes: dict[tuple[int, ...], int]) -> int:
 # write, and the mismatch or disagreement to report on stderr, or None.
 
 
-def _verify_row(n: int, args: argparse.Namespace, _shapes: dict) -> tuple[dict, str | None]:
-    rep = verify_star(n, args.r, budget=args.budget, shards=args.shards)
+def _verify_row(n: int, args: argparse.Namespace, shapes: dict) -> tuple[dict, str | None]:
+    lhs = fixed_point_sum(n, args.r, budget=args.budget, shards=args.shards)
+    size = group_size(n, args.r)  # after the sweep, which refuses a huge group first
+    rhs = size * _tau_r(n, args.r, shapes)
+    matched = lhs == rhs
     record = {
-        "n": str(rep.n),
-        "r": rep.r,
-        "lhs": str(rep.lhs),
-        "rhs": str(rep.rhs),
-        "group_size": str(rep.group_size),
-        "matched": rep.matched,
+        "n": str(n),
+        "r": args.r,
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+        "group_size": str(size),
+        "matched": matched,
         "elapsed_s": 0.0,
-        "shards": rep.shards,
+        "shards": args.shards,
     }
-    if rep.matched:
+    if matched:
         return record, None
-    return record, f"identity mismatch at n={n}, r={args.r}: lhs={rep.lhs} rhs={rep.rhs}"
+    return record, f"identity mismatch at n={n}, r={args.r}: lhs={lhs} rhs={rhs}"
 
 
 def _burnside_row(n: int, args: argparse.Namespace, shapes: dict) -> tuple[dict, str | None]:
@@ -232,7 +234,7 @@ def _chains_row(n: int, args: argparse.Namespace, shapes: dict) -> tuple[dict, s
 
 def _bench_row(n: int, args: argparse.Namespace, _shapes: dict) -> tuple[dict, str | None]:
     t0 = time.perf_counter()
-    lhs = lhs_star(n, args.r, budget=args.budget, shards=args.shards)
+    lhs = fixed_point_sum(n, args.r, budget=args.budget, shards=args.shards)
     elapsed = time.perf_counter() - t0
     size = group_size(n, args.r)  # after the sweep, which refuses a huge group first
     record = {

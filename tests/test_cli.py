@@ -26,7 +26,6 @@ from menon.cli import (
     main,
     parse_range,
 )
-from menon.identity import IdentityReport
 
 VERIFY_FIELDS = ["n", "r", "lhs", "rhs", "group_size", "matched", "elapsed_s", "shards"]
 
@@ -186,13 +185,8 @@ def test_verify_partial_refusal_keeps_other_records(capsys):
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     # a mismatch cannot be produced honestly (the identity is a theorem),
-    # so fake the report to pin the exit-code contract
-    def fake_verify_star(n, r, budget, shards):
-        return IdentityReport(
-            n=n, r=r, lhs=3, rhs=4, group_size=1, matched=False, elapsed=0.0, shards=shards
-        )
-
-    monkeypatch.setattr(cli, "verify_star", fake_verify_star)
+    # so fake tau_r to pin the exit-code contract
+    monkeypatch.setattr(cli, "tau_r_recursive", lambda n, r: 3)
     code, out, err = run_cli(capsys, "verify", "--n", "5..5", "--r", "1")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["matched"] is False
@@ -346,7 +340,7 @@ def test_internal_error_maps_to_exit_70(capsys, monkeypatch):
     def blow_up(n, r, budget, shards):
         raise RuntimeError("forced")
 
-    monkeypatch.setattr(cli, "verify_star", blow_up)
+    monkeypatch.setattr(cli, "fixed_point_sum", blow_up)
     code, out, err = run_cli(capsys, "verify", "--n", "2..2", "--r", "1")
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
@@ -506,7 +500,14 @@ def count_recursions(monkeypatch, wrong_shape=None):
 
 
 @pytest.mark.parametrize(
-    "argv", ["tau --n 1..2000 --r 6", "chains --n 1..300 --r 5", "burnside --n 1..16 --r 2"]
+    "argv",
+    [
+        "tau --n 1..2000 --r 6",
+        "chains --n 1..300 --r 5",
+        "burnside --n 1..16 --r 2",
+        "verify --n 1..300 --r 1",
+        "verify --n 1..12 --r 3",
+    ],
 )
 def test_tau_r_recursion_runs_once_per_exponent_tuple(capsys, monkeypatch, argv):
     # through the cli name, so that a rebinding of it sees every run
@@ -517,22 +518,25 @@ def test_tau_r_recursion_runs_once_per_exponent_tuple(capsys, monkeypatch, argv)
     assert sorted(map(shape, seen)) == sorted({shape(n) for n in range(1, hi + 1)})
 
 
-@pytest.mark.parametrize("command", ["tau", "chains"])
+@pytest.mark.parametrize("command", ["tau", "chains", "verify"])
 def test_a_wrong_table_entry_is_reported_at_every_modulus_of_its_tuple(capsys, monkeypatch, command):
-    # the recursion errs once, at n = 12; the closed form or the chain count
-    # of each later n of shape (2, 1) still disagrees with the reused value
+    # the recursion errs once, at n = 12; the closed form, the chain count
+    # or the sweep of each later n of shape (2, 1) still disagrees with the
+    # reused value
     seen = count_recursions(monkeypatch, wrong_shape=(2, 1))
     code, out, err = run_cli(capsys, command, "--n", "1..100", "--r", "2")
     assert code == EXIT_MISMATCH and len(out.splitlines()) == 100
-    reported = [int(n) for n in re.findall(r"disagreement at n=(\d+),", err)]
+    reported = [int(n) for n in re.findall(r"(?:disagreement|mismatch) at n=(\d+),", err)]
     assert len(err.splitlines()) == len(reported)
     assert reported == [n for n in range(1, 101) if shape(n) == (2, 1)]  # 12, 20, ..., 99
     assert seen.count(12) == 1 and not set(seen) & set(reported[1:])
 
 
 # (argv, sha256 of stdout, sha256 of stderr), taken before the table was
-# added. The divisor budget refuses every n of some exponent tuples: tau(n)
-# >= 9 for the first (36, 48, 60, 72, 80), tau(n) >= 8 for the second.
+# used by each command. The divisor budget refuses every n of some exponent
+# tuples: tau(n) >= 9 for the first (36, 48, 60, 72, 80), tau(n) >= 8 for
+# the second. The sweep budget refuses every n >= 13 and 11 for the third,
+# among them n of tuples no admitted n has, like 18 = 2 * 3^2 and 30.
 REFUSALS_AMONG_HITS = [
     ("tau --n 1..80 --r 4 --budget 300",
      "9cb951830260ecaf6938aa54fe71557cd6f9ebde57555e6b9d86e102d257e595",
@@ -540,6 +544,9 @@ REFUSALS_AMONG_HITS = [
     ("chains --n 1..80 --r 3 --budget 150",
      "0e119146a7483c1f9efecc76a9140eaf5cec9ca86c428111b5481f8b0822b46f",
      "1c6fb48e6367be6b0b4900bb5ae1375b130bd39cd09678ab7028bffa34d8e48f"),
+    ("verify --n 1..40 --r 2 --budget 2000",
+     "9cad75b8b54e8dd239fd9b44d00cd01c1b2680726f3bc03bcfa54f80c5987373",
+     "5c4eeb1cd1d35f081cf133eaccb99b676e837d102fa94de7e678f25fda426dba"),
 ]
 
 
@@ -549,11 +556,13 @@ def test_refusals_between_table_hits_keep_their_bytes(capsys, monkeypatch, argv,
     code, out, err = run_cli(capsys, *argv.split())
     got = (code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
     assert got == (EXIT_REFUSED, out_sha, err_sha)
-    # the budget refuses whole tuples, so a refused n that read or wrote
-    # the table would miss it and add its own tuple to seen
+    # some refused n have a tuple that no admitted n has (for tau and
+    # chains every refused n does), so a refused n that wrote the table
+    # would add its own tuple to seen
     refused = {int(json.loads(line)["n"]) for line in err.splitlines()}
-    admitted = {shape(n) for n in range(1, 81) if n not in refused}
-    assert not {shape(n) for n in refused} & admitted
+    lo, hi = parse_range(argv.split()[2])
+    admitted = {shape(n) for n in range(lo, hi + 1) if n not in refused}
+    assert {shape(n) for n in refused} - admitted
     assert sorted(map(shape, seen)) == sorted(admitted)
 
 

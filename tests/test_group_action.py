@@ -1049,10 +1049,9 @@ def test_units_ascending_and_degenerate():
 # --- module graph -------------------------------------------------------------------
 
 
-def test_group_action_does_not_import_identity():
-    # identity builds on group_action, never the reverse, lazily or not
-    tree = ast.parse(Path(group_action.__file__).read_text())
-    for node in ast.walk(tree):
+def assert_does_not_import_identity(path):
+    # lazily or not, by module or by name
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -1060,7 +1059,24 @@ def test_group_action_does_not_import_identity():
         else:
             continue
         for name in names:
-            assert "identity" not in name.split("."), f"line {node.lineno} imports {name}"
+            assert "identity" not in name.split("."), f"{path.name} line {node.lineno} imports {name}"
+
+
+def test_group_action_does_not_import_identity():
+    # identity builds on group_action, never the reverse
+    assert_does_not_import_identity(Path(group_action.__file__))
+
+
+def test_cli_does_not_import_identity():
+    # the CLI sweeps through group_action and takes tau_r from its own table
+    assert_does_not_import_identity(Path(group_action.__file__).with_name("cli.py"))
+
+
+def test_no_module_has_a_bare_assert():
+    # python -O strips assert statements, so every invariant raises instead
+    for path in sorted(Path(group_action.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert not isinstance(node, ast.Assert), f"{path.name} line {node.lineno}"
 
 
 def test_only_the_factor_and_pool_caches_keep_state():
