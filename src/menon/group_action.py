@@ -197,42 +197,24 @@ def group_size(n: int, r: int) -> int:
     return n ** (r * (r - 1) // 2) * euler_phi(n) ** r
 
 
-class _UnitsByIndex:
-    """units(n) as a sequence that holds none of them: its len is phi(n),
-    and item k is the least x with k + 1 units below x, minus one, found
-    by _unit_residue's bisection. A pool for decoding one index, which
-    then costs O(2^omega(n) log n) operations and no O(n) tuple."""
-
-    __slots__ = ("n", "primes", "size")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.primes = [p for p, _ in _factor(n)]
-        self.size = euler_phi(n)
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, k: int) -> int:
-        if not 0 <= k < self.size:
-            raise IndexError(f"unit index {k} out of range for {self.size} units")
-        return _unit_residue(self.n, self.primes, k + 1) - 1
-
-
 def _pools(n: int, r: int, us=None) -> list:
     # Digit pools in significance order (matches the cells layout); us is
-    # the pool of diagonal digits, units(n) unless given.
+    # the diagonal digits' pool: units(n), or element_at's unit indices.
     us = units(n) if us is None else us
     return [us] * r + [range(n)] * (r * (r - 1) // 2)
 
 
 def element_at(n: int, r: int, index: int) -> UpperTriangularMatrix:
-    """The index-th group element in enumeration order (0-based)."""
+    """The index-th group element in enumeration order (0-based), decoded
+    over unit indices; _unit_residue's bisection turns each diagonal digit
+    k into the k-th unit, so no O(n) tuple of units is built."""
     size = group_size(n, r)
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for group of size {size}")
-    pools = _pools(n, r, _UnitsByIndex(n))
-    return UpperTriangularMatrix(n=n, r=r, cells=next(_product_from(pools, index)))
+    cells = next(_product_from(_pools(n, r, range(euler_phi(n))), index))
+    primes = [p for p, _ in _factor(n)]
+    diagonal = [_unit_residue(n, primes, k + 1) - 1 for k in cells[:r]]
+    return UpperTriangularMatrix(n=n, r=r, cells=(*diagonal, *cells[r:]))
 
 
 def _iter_cells(n: int, r: int, lo: int, hi: int):
