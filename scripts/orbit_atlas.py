@@ -29,7 +29,8 @@ def main() -> int:
     blocks = orbits_brute_force(n, r)
     for block in blocks:
         chains = {divisor_chain(ResidueVector(n=n, r=r, coords=x)).values for x in block}
-        assert len(chains) == 1, f"orbit {block} carries several chains: {chains}"
+        if len(chains) != 1:
+            raise RuntimeError(f"orbit {block} carries several chains: {chains}")
         chain = chains.pop()
         members = " ".join(str(x) for x in block)
         print(f"chain {chain}: {members}")

@@ -26,13 +26,15 @@ run goes on to the next n.
 Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
 64 usage (including any n, --r, --shards or --budget above
 arith.FACTORIZE_MAX), 70 internal error (any uncaught exception; the
-traceback goes to stderr).
+traceback goes to stderr), 74 an OSError writing or flushing the records
+(a broken pipe too: one line on stderr; it ends the run, outranks 1 and 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import isqrt
@@ -54,6 +56,7 @@ EXIT_MISMATCH = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE: a bug, never a verdict on the identity
+EXIT_IOERR = 74  # sysexits EX_IOERR: the record stream is incomplete
 
 VERIFY_FIELDS = ("n", "r", "lhs", "rhs", "group_size", "matched", "elapsed_s", "shards")
 BURNSIDE_FIELDS = ("n", "r", "burnside_count", "unionfind_count", "chain_count", "tau_r", "agree")
@@ -129,12 +132,16 @@ class RecordWriter:
 
 def _refuse(n: int, r: int, exc: BudgetExceededError) -> None:
     diag = {"n": str(n), "r": r, "refused": True}
-    if exc.group_size is not None:
-        diag["group_size"] = str(exc.group_size)
-    if exc.estimated_ops is not None:
-        diag["estimated_ops"] = str(exc.estimated_ops)
-    diag["budget"] = str(exc.budget)
+    for key in ("group_size", "estimated_ops", "budget"):  # those that are known
+        if getattr(exc, key) is not None:
+            diag[key] = str(getattr(exc, key))
     print(json.dumps(diag), file=sys.stderr)
+
+
+def _cannot_write(exc: OSError, stream) -> int:
+    print(f"menon: error: cannot write records: {exc}", file=sys.stderr)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())  # later flushes then pass
+    return EXIT_IOERR
 
 
 def _check_divisor_budget(n: int, r: int, budget: int) -> None:
@@ -254,9 +261,12 @@ def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
 
     Each n first passes the isqrt(n) factor budget, since every row
     factorizes n. Problems go to stderr as they come; a mismatch outranks
-    a refusal in the exit code.
+    a refusal in the exit code; an OSError from writing out ends the run.
     """
-    writer = RecordWriter(fields, args.fmt, out)
+    try:
+        writer = RecordWriter(fields, args.fmt, out)  # writes a CSV header
+    except OSError as exc:
+        return _cannot_write(exc, out)
     shapes: dict[tuple[int, ...], int] = {}  # this call's tau_r table
     mismatched = refused = False
     lo, hi = args.n
@@ -273,7 +283,14 @@ def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
         if problem is not None:
             print(problem, file=sys.stderr)
             mismatched = True
-        writer.write(record)
+        try:
+            writer.write(record)
+        except OSError as exc:
+            return _cannot_write(exc, out)
+    try:
+        out.flush()
+    except OSError as exc:
+        return _cannot_write(exc, out)
     return EXIT_MISMATCH if mismatched else EXIT_REFUSED if refused else EXIT_OK
 
 

@@ -347,6 +347,35 @@ def test_internal_error_maps_to_exit_70(capsys, monkeypatch):
     assert "RuntimeError: forced" in err and "internal error" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("tau", "--n", "1..5", "--r", "2"),  # five values wait in the buffer for the last flush
+    ("verify", "--n", "1..3000", "--r", "1"),  # 3000 records overflow it: a write fails mid-run
+])
+def test_full_record_stream_exits_74(capsys, argv):
+    # the run is no mismatch (exit 1) and no bug (exit 70)
+    code, _, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == cli.EXIT_IOERR == 74
+    assert err == "menon: error: cannot write records: [Errno 28] No space left on device\n"
+
+
+def test_closed_stdout_pipe_exits_74_without_a_traceback():
+    # as `menon verify ... | head -1`: 3000 records outgrow the pipe, whose
+    # reader leaves after the first line
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "menon.cli", "verify", "--n", "1..3000", "--r", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    assert json.loads(proc.stdout.readline())["n"] == "1"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_IOERR
+    assert err == "menon: error: cannot write records: [Errno 32] Broken pipe\n"
+
+
 def test_start_up_loads_no_process_pool_machinery():
     # concurrent.futures pulls in multiprocessing, a fifth of every start;
     # only a sharded sweep may load it

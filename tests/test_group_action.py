@@ -1073,8 +1073,11 @@ def test_cli_does_not_import_identity():
 
 
 def test_no_module_has_a_bare_assert():
-    # python -O strips assert statements, so every invariant raises instead
-    for path in sorted(Path(group_action.__file__).parent.glob("*.py")):
+    # python -O strips assert statements, so every invariant raises instead,
+    # in the package and in the scripts under scripts/
+    scripts = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+    assert scripts
+    for path in sorted(Path(group_action.__file__).parent.glob("*.py")) + scripts:
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Assert), f"{path.name} line {node.lineno}"
 
