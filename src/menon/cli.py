@@ -14,20 +14,22 @@ Machine-readable records go to stdout (or --out) as JSON lines or RFC-4180
 CSV. All exact integers are serialized as decimal strings. Record streams
 are byte-deterministic for a fixed config: the elapsed_s field of verify
 records is always 0.0, and wall-clock timing is reported by bench only.
-verify, burnside and bench sweep the group and take --shards; tau and
-chains do not; they refuse when r * tau(n)^2 exceeds the budget. Budget
-refusals are JSON diagnostics on stderr, never partial records. A
-diagnostic carries group_size only when the refused work enumerates the
-group, and neither group_size nor estimated_ops when r alone puts |G|
-over the budget, which is decided before either is computed. A mismatch or
-disagreement is reported on stderr, its record is still written, and the
-run goes on to the next n.
+verify, burnside and bench sweep the group and take --shards (where the
+shards run: group_action.fixed_point_sum). tau and chains take no
+--shards; they refuse when r * tau(n)^2 exceeds the budget. Budget refusals are JSON diagnostics on stderr, never
+partial records. A diagnostic carries group_size only when the refused
+work enumerates the group, and neither group_size nor estimated_ops when
+r alone puts |G| over the budget, which is decided before either is
+computed. A mismatch or disagreement is reported on stderr, its record is
+still written, and the run goes on to the next n.
 
 Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
 64 usage (including any n, --r, --shards or --budget above
 arith.FACTORIZE_MAX), 70 internal error (any uncaught exception; the
-traceback goes to stderr), 74 an OSError writing or flushing the records
-(a broken pipe too: one line on stderr; it ends the run, outranks 1 and 2).
+traceback goes to stderr), 74 an OSError writing or flushing the records,
+or stdout closed at start (a broken pipe too: one line on stderr; it ends
+the run, outranks 1 and 2). 70 outranks 74: records an internal error
+leaves unwritten get the 74 line, but the exit code stays 70.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max estimated elementary operations per call")
         if name in ("verify", "burnside", "bench"):  # the subcommands that sweep G
             p.add_argument("--shards", type=_count_arg, default=1,
-                           help="shards per sweep, run on min(shards, CPUs) workers")
+                           help="shards per sweep; large sweeps run them on min(shards, CPUs) workers")
         # tau defaults to bare values, one per line
         p.add_argument("--format", choices=("json", "csv"), dest="fmt",
                        default="plain" if name == "tau" else "json", help="record format")
@@ -343,6 +345,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"menon: error: cannot open {args.out!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
+    elif sys.stdout is None:  # the interpreter started with descriptor 1 closed
+        print("menon: error: cannot write records: stdout is closed", file=sys.stderr)
+        return EXIT_IOERR
     else:
         stream = sys.stdout
     try:
@@ -354,6 +359,10 @@ def main(argv=None) -> int:
         print("menon: internal error", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
+        try:
+            stream.flush()  # what an internal error left in the buffer
+        except OSError as exc:
+            _cannot_write(exc, stream)  # the 70 stands: a bug outranks 74
         if args.out:
             stream.close()
 

@@ -663,10 +663,11 @@ class ProcessPoolExecutor:
     host those hand-offs were about a quarter of a 2-shard sweep over
     small moduli, and most of its spread from run to run.
 
-    multiprocessing is imported on first use, so an unsharded run starts
-    without it. The workers are daemonic: multiprocessing stops them when
-    the parent exits. The name stays a module attribute so that callers
-    can rebind it to count or fake the pools that `_pool` builds.
+    multiprocessing is imported on first use, so a run whose sweeps all
+    run in-process (see fixed_point_sum) starts without it. The workers
+    are daemonic: multiprocessing stops them when the parent exits. The
+    name stays a module attribute so that callers can rebind it to count
+    or fake the pools that `_pool` builds.
     """
 
     def __init__(self, max_workers: int) -> None:
@@ -705,14 +706,41 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
+def _cpus() -> int:
+    # the CPUs this process may run on (a taskset or cpuset narrows them),
+    # where the platform can say; else all of them
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The least sweep estimate |G| * r^2 whose shards run on the pool: an
+# unverified bound (see fixed_point_sum), not a measured break-even.
+_POOL_MIN_OPS = 2**22
+
+
 def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
     """Sum of |X^g| over the whole group, the left-hand side of the identity.
 
     The index space is split into min(shards, |G|) contiguous ranges (more
     would only add empty ones, which sum to 0); each shard is a pure fold
     and the shard totals are summed in shard order, so the result is
-    identical for every shard count. Shards run on a shared pool of at
-    most min(shards, CPUs) workers.
+    identical for every shard count, wherever the shards run.
+
+    Shards run on a shared pool of min(shards, CPUs) workers only when
+    that is two workers or more and the estimate |G| * r^2 is at least
+    _POOL_MIN_OPS = 2^22; otherwise they run one after another in this
+    process. The floor keeps every sharded sweep of the benchmark (n <= 60
+    at r = 2, the largest (59, 2) at 793904) off the pool, which would
+    cost a process about 20 ms to start (importing multiprocessing,
+    forking two workers) and more at exit. Where past the floor the pool
+    starts to pay is unverified: no benchmark workload runs a sharded
+    sweep there, and the bound rests on warm-pool timings only. In-process
+    medians of 7 on a 2-vCPU host, inline against a warm 2-shard pool:
+    (59, 2) 4.9 against 3.8 ms; (103, 2), the first r = 2 sweep at the
+    floor, 18 against 10 ms (so a cold pool, at about 10 + 20 ms, loses);
+    (151, 2) 33 against 20 ms; (6, 4) 139 against 109 ms; (5, 4) 534
+    against 306 ms; but (13, 3), at 8 times the floor, 19 against 20 ms.
 
     The budget estimate is |G| * r^2, which at r = 1 is phi(n). The r = 1
     kernel scans residues, not units: n of them, and n <= 7.21 * phi(n)
@@ -721,9 +749,9 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     """
     size = _admit_sweep(f"group sweep(n={n}, r={r})", n, r, budget)
     pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, size))]
-    if shards == 1:
-        return _fixed_point_sum_shard(pieces[0])
-    return sum(_pool(min(shards, os.cpu_count() or 1)).map(_fixed_point_sum_shard, pieces))
+    if size * r * r >= _POOL_MIN_OPS and (workers := min(shards, _cpus())) > 1:
+        return sum(_pool(workers).map(_fixed_point_sum_shard, pieces))
+    return sum(map(_fixed_point_sum_shard, pieces))
 
 
 def orbit_count_burnside(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:

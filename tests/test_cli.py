@@ -376,9 +376,53 @@ def test_closed_stdout_pipe_exits_74_without_a_traceback():
     assert err == "menon: error: cannot write records: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_internal_error_on_a_full_record_stream_exits_70(capsys, monkeypatch, to_stdout):
+    # the records buffered when the bug struck cannot be written either: one
+    # line says so, and the bug (70) outranks the incomplete stream (74)
+    sweep = cli.fixed_point_sum
+
+    def blow_up_at_5(n, r, budget, shards):
+        if n == 5:
+            raise RuntimeError("forced")
+        return sweep(n, r, budget=budget, shards=shards)
+
+    monkeypatch.setattr(cli, "fixed_point_sum", blow_up_at_5)
+    argv = ["verify", "--n", "1..5", "--r", "1"]
+    with open("/dev/full", "w") as full:
+        if to_stdout:
+            monkeypatch.setattr(sys, "stdout", full)
+        else:
+            argv += ["--out", "/dev/full"]
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL
+    assert "RuntimeError: forced" in err
+    assert err.endswith(
+        "menon: internal error\n"
+        "menon: error: cannot write records: [Errno 28] No space left on device\n"
+    )
+
+
+def test_stdout_closed_at_start_exits_74_without_a_traceback():
+    # as `menon tau --n 1..5 --r 2 >&-`, where the interpreter sets sys.stdout to None
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "menon.cli", "tau", "--n", "1..5", "--r", "2"],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60, preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == cli.EXIT_IOERR
+    assert proc.stderr == "menon: error: cannot write records: stdout is closed\n"
+
+
 def test_start_up_loads_no_process_pool_machinery():
     # concurrent.futures pulls in multiprocessing, a fifth of every start;
-    # only a sharded sweep may load it
+    # only a sweep on the pool may load it, and every sweep of n <= 60 at
+    # r = 2 is under group_action._POOL_MIN_OPS, so its two shards run in
+    # this process
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -386,6 +430,7 @@ def test_start_up_loads_no_process_pool_machinery():
         "import sys\n"
         "from menon.cli import main\n"
         "assert main(['tau', '--n', '1..3', '--r', '2']) == 0\n"
+        "assert main(['verify', '--n', '1..60', '--r', '2', '--shards', '2']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)

@@ -871,7 +871,8 @@ def test_fixed_point_sum_is_shard_invariant():
 
 @pytest.fixture
 def fake_pools(monkeypatch):
-    """Replace the worker pool with one that runs shards in this process;
+    """Replace the worker pool with one that runs shards in this process,
+    with no floor on the sweeps that use it and four CPUs to run on;
     yields the max_workers of every pool built."""
     made = []
 
@@ -882,6 +883,8 @@ def fake_pools(monkeypatch):
             made.append(max_workers)
 
     monkeypatch.setattr(group_action, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(group_action, "_POOL_MIN_OPS", 0)
+    monkeypatch.setattr(group_action.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     group_action._pool.cache_clear()
     yield made
     group_action._pool.cache_clear()
@@ -894,8 +897,34 @@ def test_sharded_sweeps_share_one_pool(fake_pools):
 
 
 def test_pool_workers_are_capped_by_cpu_count(fake_pools, monkeypatch):
-    monkeypatch.setattr(group_action.os, "cpu_count", lambda: 2)
+    # the CPUs this process may run on, not all the host has
+    monkeypatch.setattr(group_action.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(group_action.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert fixed_point_sum(6, 3, shards=64) == fixed_point_sum(6, 3, shards=1)
+    assert fake_pools == [2]
+
+
+def test_a_sweep_takes_the_pool_only_at_the_floor_with_two_workers(fake_pools, monkeypatch):
+    # the pool needs two workers and |G| * r^2 at the floor; short of
+    # that, every piece runs in this process
+    expected = {n: fixed_point_sum(n, 2) for n in (4, 5)}  # one piece
+    monkeypatch.setattr(group_action, "_POOL_MIN_OPS", group_size(5, 2) * 4)
+    pieces = []
+
+    def counted(args):
+        pieces.append(args)
+        return _fixed_point_sum_shard(args)
+
+    monkeypatch.setattr(group_action, "_fixed_point_sum_shard", counted)
+    assert fixed_point_sum(5, 2) == expected[5]  # one shard at the floor
+    assert fixed_point_sum(4, 2, shards=2) == expected[4]  # under the floor
+    monkeypatch.setattr(group_action.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert fixed_point_sum(5, 2, shards=2) == expected[5]  # one worker
+    assert fake_pools == []
+    assert len(pieces) == 1 + 2 + 2
+    monkeypatch.setattr(group_action.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert fixed_point_sum(5, 2, shards=2) == expected[5]  # at the floor
+    assert fixed_point_sum(7, 2, shards=2) == fixed_point_sum(7, 2)  # over it, the same pool
     assert fake_pools == [2]
 
 

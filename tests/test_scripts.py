@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from menon.group_action import group_size
+from menon.group_action import _cpus, group_size
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,12 +41,21 @@ def test_orbit_atlas_prints_each_orbit_and_the_four_counts():
 @pytest.mark.parametrize(
     "argv, moduli, pools",
     [
-        (["verify", "--n", "1..6", "--r", "2", "--shards", "2"], range(1, 7), 1),
-        (["burnside", "--n", "1..3", "--r", "2"], range(1, 4), 0),
+        # (103, 2) is the first r = 2 sweep whose |G| * r^2 reaches the pool floor
+        pytest.param(["verify", "--n", "103..103", "--r", "2", "--shards", "2"], range(103, 104), 1,
+                     id="verify-sharded"),
+        pytest.param(["burnside", "--n", "1..3", "--r", "2"], range(1, 4), 0, id="burnside"),
+        # sharded, but under the floor, so its pieces run in this process
+        pytest.param(["verify", "--n", "1..6", "--r", "2", "--shards", "2"], range(1, 7), 0,
+                     id="verify-sharded-inline",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "tracer.py replays every multi-piece sweep as if a pool ran it, so it"
+                         " counts this kernel twice (CHANGES.md FOUND, ROADMAP item 4)"))),
     ],
-    ids=["verify-sharded", "burnside"],
 )
 def test_tracer_runs_the_cli_unchanged_and_measures_its_layers(tmp_path, argv, moduli, pools):
+    if pools and _cpus() < 2:
+        pytest.skip("a sharded sweep runs in this process on one CPU")
     env = src_env()
     plain = subprocess.run(
         [sys.executable, "-m", "menon.cli", *argv], capture_output=True, env=env, timeout=120
