@@ -353,9 +353,11 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
 
     U is returned reduced mod n, which every d_i divides.
 
-    Two routes. A 2 x 2 block [[a, b], [0, c]] (every M' of an r = 3 sweep,
-    and the k = 2 blocks of compute_dk) is reduced mod n, with a = 0 read
-    as n, by alternate extended-gcd steps. A column step takes
+    A 1 x 1 block [[a]] (every M' of an r = 2 sweep) is its own diagonal
+    form: d = [gcd(n, a)], U = [[1]]. Two routes for the rest. A 2 x 2
+    block [[a, b], [0, c]] (every M' of an r = 3 sweep, and the k = 2
+    blocks of compute_dk) is reduced mod n, with a = 0 read as n, by
+    alternate extended-gcd steps. A column step takes
     x a + y b = g from the top row and multiplies by [[x, -b/g], [y, a/g]]:
     the top row becomes (g, 0) and the bottom row (c y, c a/g). A row step
     does the same to the first column by the transposed matrix, mirrored in
@@ -378,6 +380,8 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
     zero, each remaining factor is Z/n.
     """
     k = len(mat)
+    if k == 1:
+        return [gcd(n, mat[0][0])], [[1 % n]]
     if k == 2 and not mat[1][0] % n:
         (a, b), (_, c) = mat
         a, b, c = a % n or n, b % n, c % n
@@ -532,9 +536,14 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         and within a block each distinct M' is reduced once;
       * within a block a_rr is the most significant digit left, so each
         unit a_rr owns a contiguous sub-block of leads, whose sum depends
-        on a_rr only through g_r. A sub-block wholly inside [lo, hi) whose
-        g_r class the block has already summed adds that sum, and its
-        leads are consumed from the iterator unread;
+        on a_rr only through g_r. The g_r of each unit comes once per call
+        from the a_rr pool, and so do, per class, the units between each
+        first occurrence of a class and the next. A block wholly inside
+        [lo, hi) visits only the first sub-block of each class; from there
+        it jumps over the leads up to the next first occurrence unread,
+        adding count times class sum for them. In a clipped block, a
+        sub-block wholly inside [lo, hi) whose class the block has
+        already summed adds that sum, and its leads are skipped unread;
       * a full run's sum is prod(d) times a sum fixed by g_r and the terms
         (d_i, base, sp, sq) of each row with d_i > 1, so that sum is kept
         for the call, keyed by those terms as one flat tuple, and computed
@@ -576,8 +585,19 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     sub = n ** (r * k // 2 - tail)  # leads per a_rr: one per value of the lead's strict digits
     strict = [_cell(r, i, j) for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal
     fixed_at = [_cell(r, i, k) for i in range(k - tail)]  # c's entries in the lead
+    pools = _pools(n, r)
+    cls = [gcd(n, u - 1) for u in pools[0]]  # g_r of each unit index of a_rr
+    span = len(cls) * sub  # leads per block
+    jumps: dict = {}  # unit index where a class first occurs -> {g_r: units} up to the next such index
+    seen = set()
+    for i, g in enumerate(cls):
+        if g in seen:
+            gap[g] = gap.get(g, 0) + 1
+        else:
+            seen.add(g)
+            gap = jumps[i] = {}
     first = lo // run
-    leads = islice(_product_from(_pools(n, r)[:-tail], first), -(-hi // run) - first)
+    leads = islice(_product_from(pools[:-tail], first), -(-hi // run) - first)
     total = 0
     block = None
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
@@ -589,9 +609,11 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         if b % sub == 0 or b == first:  # a new a_rr, and perhaps a new block
             if lead[:k] != block:
                 block = lead[:k]
+                whole = b % span == 0 and lo <= b * run and (b + span) * run <= hi
                 reduced.clear()
                 classes.clear()
-            g_r = gcd(n, lead[k] - 1)
+            a = b // sub % len(cls)  # a_rr's unit index
+            g_r = cls[a]
             h = n // g_r
             mark = None  # total at the start of a sub-block wholly inside [lo, hi)
             if b % sub == 0 and lo <= b * run and (b + sub) * run <= hi:
@@ -622,6 +644,12 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         total += prod(d) * part
         if mark is not None and b % sub == sub - 1:
             classes[g_r] = total - mark
+            if whole:  # jump to the sub-block of the next new class
+                gap = jumps[a]
+                total += sum(c * classes[g] for g, c in gap.items())
+                skip = sum(gap.values()) * sub
+                next(islice(leads, skip, skip), None)
+                b += skip
     return total
 
 
@@ -737,10 +765,10 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     starts to pay is unverified: no benchmark workload runs a sharded
     sweep there, and the bound rests on warm-pool timings only. In-process
     medians of 7 on a 2-vCPU host, inline against a warm 2-shard pool:
-    (59, 2) 4.9 against 3.8 ms; (103, 2), the first r = 2 sweep at the
-    floor, 18 against 10 ms (so a cold pool, at about 10 + 20 ms, loses);
-    (151, 2) 33 against 20 ms; (6, 4) 139 against 109 ms; (5, 4) 534
-    against 306 ms; but (13, 3), at 8 times the floor, 19 against 20 ms.
+    (59, 2) 0.9 against 1.1 ms; (103, 2), the first r = 2 sweep at the
+    floor, 1.5 against 1.7 ms; (151, 2) 2.1 against 2.4 ms, so at r = 2
+    even a warm pool loses; (6, 4) 139 against 109 ms; (5, 4) 534 against
+    306 ms; but (13, 3), at 8 times the floor, 19 against 20 ms.
 
     The budget estimate is |G| * r^2, which at r = 1 is phi(n). The r = 1
     kernel scans residues, not units: n of them, and n <= 7.21 * phi(n)

@@ -469,6 +469,14 @@ def test_cokernel_meets_its_contract_on_every_small_2x2_block():
             assert_cokernel_contract(n, [[a, b], [e, c]])
 
 
+def test_cokernel_meets_its_contract_on_every_1x1_block():
+    # every [[a]] mod n <= 30, the route of every r = 2 M'; a = 0 and
+    # a = n give Z/n, negative a its residue's factor
+    for n in range(1, 31):
+        for a in range(-n, 2 * n):
+            assert_cokernel_contract(n, [[a]])
+
+
 def test_cokernel_ends_where_one_entry_divides_the_other():
     # mod 2, Euclid on (1, 1) can give the Bezout pair (0, 1), whose column
     # and row steps undo each other forever; a | b must be a subtraction
@@ -676,14 +684,23 @@ def class_boundaries(n, r, hi):
         yield c, run, block, lo_w, hi_w
 
 
-# (9, 3) has three g_r classes among its six units, so most blocks skip
-# three sub-blocks; (4, 4) is cut to its first diagonal block, two
-# sub-blocks with fixed entries of c in their leads.
-@pytest.mark.parametrize("n, r, hi", [(9, 3, group_size(9, 3)), (4, 4, 4**6 * 2)])
+# (9, 3) has three g_r classes among its six units, so most blocks jump
+# over three sub-blocks; (4, 4) is cut to its first diagonal block, two
+# sub-blocks with fixed entries of c in their leads. At r = 2 a sub-block
+# is one run: the classes 16, 2, 4, 8 of (16, 2) first occur at units 1,
+# 3, 5 and 9, so its blocks jump over one sub-block and then three, and
+# the cut one element past a boundary falls inside those gaps; (9, 2)
+# jumps over its last three.
+@pytest.mark.parametrize(
+    "n, r, hi",
+    [(9, 3, group_size(9, 3)), (4, 4, 4**6 * 2), (16, 2, group_size(16, 2)), (9, 2, group_size(9, 2))],
+)
 def test_sweep_splits_at_every_class_boundary(n, r, hi):
-    # A sub-block whose g_r class the block has summed is skipped only when
-    # it lies wholly inside the call; cuts at each boundary, one run either
-    # side of it and one element past it clip the sub-blocks around it.
+    # A block visits one sub-block per g_r class and jumps over the rest
+    # only when it lies wholly inside the call; a clipped block skips a
+    # sub-block whose class it has summed only when that sub-block does.
+    # Cuts at each boundary, one run either side of it and one element past
+    # it clip the sub-blocks around it.
     clipped = {}
     for c, run, block, lo_w, hi_w in class_boundaries(n, r, hi):
         for b in range(lo_w, hi_w, block):
@@ -708,6 +725,27 @@ def test_each_distinct_leading_block_is_reduced_once(n, r, monkeypatch):
     fixed_point_sum(n, r)
     k = r - 1  # phi(n)^k diagonal blocks, n^(k(k-1)/2) strict entries of M'
     assert len(calls) == len(units(n)) ** k * n ** (k * (k - 1) // 2)
+
+
+def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
+    # g_r is read from one gcd per unit of the a_rr pool, and a block visits
+    # one a_rr per class; reading it per lead took phi(n)^2 = 10 404 gcds
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return gcd(*args)
+
+    monkeypatch.setattr(group_action, "gcd", counted)
+    assert fixed_point_sum(103, 2) == group_size(103, 2) * tau_r_closed(103, 2)
+    assert len(calls) < 10 * euler_phi(103), len(calls)
+
+
+def test_r2_identity_holds_past_the_acceptance_domain():
+    # criterion 2 checks n <= 40 through the CLI; every class layout of the
+    # a_rr pool up to 150 meets the closed form here
+    for n in range(1, 151):
+        assert fixed_point_sum(n, 2) == group_size(n, 2) * tau_r_closed(n, 2), n
 
 
 # --- Burnside, orbits, chains ----------------------------------------------------------
