@@ -353,10 +353,9 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
 
     U is returned reduced mod n, which every d_i divides.
 
-    A 1 x 1 block [[a]] (every M' of an r = 2 sweep) is its own diagonal
-    form: d = [gcd(n, a)], U = [[1]]. Two routes for the rest. A 2 x 2
-    block [[a, b], [0, c]] (every M' of an r = 3 sweep, and the k = 2
-    blocks of compute_dk) is reduced mod n, with a = 0 read as n, by
+    A 1 x 1 block [[a]] (every r = 2 M') gives d = [gcd(n, a)], U = [[1]].
+    A 2 x 2 block [[a, b], [0, c]] (every M' of an r = 3 sweep, and the
+    k = 2 blocks of compute_dk) is reduced mod n, with a = 0 read as n, by
     alternate extended-gcd steps. A column step takes
     x a + y b = g from the top row and multiplies by [[x, -b/g], [y, a/g]]:
     the top row becomes (g, 0) and the bottom row (c y, c a/g). A row step
@@ -536,14 +535,12 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         and within a block each distinct M' is reduced once;
       * within a block a_rr is the most significant digit left, so each
         unit a_rr owns a contiguous sub-block of leads, whose sum depends
-        on a_rr only through g_r. The g_r of each unit comes once per call
-        from the a_rr pool, and so do, per class, the units between each
-        first occurrence of a class and the next. A block wholly inside
-        [lo, hi) visits only the first sub-block of each class; from there
-        it jumps over the leads up to the next first occurrence unread,
-        adding count times class sum for them. In a clipped block, a
-        sub-block wholly inside [lo, hi) whose class the block has
-        already summed adds that sum, and its leads are skipped unread;
+        on a_rr only through g_r, listed once per call for each unit. A
+        block wholly inside [lo, hi) visits only the first sub-block of
+        each class and jumps from there, unread, to the next class's
+        first, adding count times class sum for the sub-blocks in between.
+        In a clipped block, a sub-block wholly inside [lo, hi) whose class
+        the block has summed adds that sum, and its leads are skipped;
       * a full run's sum is prod(d) times a sum fixed by g_r and the terms
         (d_i, base, sp, sq) of each row with d_i > 1, so that sum is kept
         for the call, keyed by those terms as one flat tuple, and computed
@@ -588,7 +585,7 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     pools = _pools(n, r)
     cls = [gcd(n, u - 1) for u in pools[0]]  # g_r of each unit index of a_rr
     span = len(cls) * sub  # leads per block
-    jumps: dict = {}  # unit index where a class first occurs -> {g_r: units} up to the next such index
+    jumps: dict = {}  # a class's first unit index -> {g_r: units} up to the next class's
     seen = set()
     for i, g in enumerate(cls):
         if g in seen:
@@ -644,8 +641,7 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
         total += prod(d) * part
         if mark is not None and b % sub == sub - 1:
             classes[g_r] = total - mark
-            if whole:  # jump to the sub-block of the next new class
-                gap = jumps[a]
+            if whole and (gap := jumps[a]):  # jump to the sub-block of the next new class
                 total += sum(c * classes[g] for g, c in gap.items())
                 skip = sum(gap.values()) * sub
                 next(islice(leads, skip, skip), None)
