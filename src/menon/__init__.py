@@ -29,13 +29,6 @@ from .group_action import (
     orbits_brute_force,
     units,
 )
-from .identity import (
-    IdentityReport,
-    compute_dk,
-    fixed_point_count_formula,
-    lhs_star,
-    rhs_star,
-    verify_star,
-)
+from .identity import compute_dk, fixed_point_count_formula
 
 __version__ = "0.1.0"

@@ -178,6 +178,8 @@ class DivisorChain(namedtuple("DivisorChain", "n r values")):
     __slots__ = ()
 
     def __new__(cls, n: int, r: int, values: tuple[int, ...]):
+        if n < 1 or r < 1:
+            raise ValueError(f"need n >= 1 and r >= 1, got n={n}, r={r}")
         if len(values) != r:
             raise ValueError(f"expected {r} chain values, got {len(values)}")
         remaining = n

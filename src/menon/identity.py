@@ -1,8 +1,8 @@
-"""The generalized gcd-sum identity: per-column fixed-point factors d_k and
-their product, the exhaustive left-hand sweep over the whole matrix group,
-the closed-form right-hand side, and verification reports. For r = 1 the
-report is the classical identity: the sum of gcd(n, a - 1) over the units
-a of Z_n against phi(n) * tau(n).
+"""The per-column fixed-point factors d_k of a group element and their
+product |X^g|, a per-element oracle that the tests check against a
+direct scan of Z_n^r. The identity itself, the sum of |X^g| over the
+group against |G| * tau_r(n), is checked by `menon verify` on
+group_action.fixed_point_sum.
 
 The contract that everything downstream leans on: for every group element
 g, the product of compute_dk(g, k) over k = 1..r equals the number of
@@ -18,43 +18,9 @@ the tests use as oracles.
 
 from __future__ import annotations
 
-import time
-from collections import namedtuple
 from math import prod
 
-from . import group_action
-from .arith import tau_r_recursive
-from .group_action import (
-    DEFAULT_BUDGET,
-    UpperTriangularMatrix,
-    _cokernel,
-    _leading_block,
-    group_size,
-)
-
-
-class IdentityReport(
-    namedtuple("IdentityReport", "n r lhs rhs group_size matched elapsed shards")
-):
-    """Record of one identity check. lhs and rhs are exact integers;
-    matched is lhs == rhs."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        n: int,
-        r: int,
-        lhs: int,
-        rhs: int,
-        group_size: int,
-        matched: bool,
-        elapsed: float,
-        shards: int,
-    ):
-        if matched != (lhs == rhs):
-            raise AssertionError(f"report says matched={matched} but lhs={lhs}, rhs={rhs}")
-        return super().__new__(cls, n, r, lhs, rhs, group_size, matched, elapsed, shards)
+from .group_action import UpperTriangularMatrix, _cokernel, _leading_block
 
 
 def _solution_count(n: int, mat: list[list[int]]) -> int:
@@ -91,41 +57,3 @@ def compute_dk(g: UpperTriangularMatrix, k: int) -> int:
 def fixed_point_count_formula(g: UpperTriangularMatrix) -> int:
     """|X^g| as the product of the per-column factors d_k."""
     return prod(compute_dk(g, k) for k in range(1, g.r + 1))
-
-
-def lhs_star(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
-    """Exhaustive sweep: the sum of |X^g| over every group element. This is
-    the measured side of the identity."""
-    return group_action.fixed_point_sum(n, r, budget=budget, shards=shards)
-
-
-def rhs_star(n: int, r: int) -> int:
-    """Closed form: n^(r(r-1)/2) * phi(n)^r * tau_r(n)."""
-    return group_size(n, r) * tau_r_recursive(n, r)
-
-
-def verify_star(
-    n: int,
-    r: int,
-    budget: int = DEFAULT_BUDGET,
-    shards: int = 1,
-) -> IdentityReport:
-    """Run the sweep against the closed form and report.
-
-    matched must come out True (a mismatch would mean a bug, not new
-    mathematics); a False report is still returned rather than raised so
-    batch sweeps surface every failure.
-    """
-    t0 = time.perf_counter()
-    lhs = lhs_star(n, r, budget=budget, shards=shards)
-    rhs = rhs_star(n, r)
-    return IdentityReport(
-        n=n,
-        r=r,
-        lhs=lhs,
-        rhs=rhs,
-        group_size=group_size(n, r),
-        matched=lhs == rhs,
-        elapsed=time.perf_counter() - t0,
-        shards=shards,
-    )

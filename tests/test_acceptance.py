@@ -30,12 +30,13 @@ from menon.group_action import (
     count_chains,
     divisor_chain,
     enumerate_group,
+    fixed_point_sum,
     fixed_points_direct,
     group_size,
     orbit_count_burnside,
     orbits_brute_force,
 )
-from menon.identity import fixed_point_count_formula, lhs_star, verify_star
+from menon.identity import fixed_point_count_formula
 
 
 @contextmanager
@@ -102,8 +103,9 @@ def test_criterion_3_r3_identity():
     with criterion(3, f"r = 3 identity exact for n in {domain} (8 shards)"):
         assert domain == [*range(1, 17), 18, 20]
         for n in domain:
-            rep = verify_star(n, 3, shards=8)
-            assert rep.matched, f"n={n}: lhs={rep.lhs} rhs={rep.rhs}"
+            lhs = fixed_point_sum(n, 3, shards=8)
+            rhs = group_size(n, 3) * tau_r_recursive(n, 3)
+            assert lhs == rhs, f"n={n}: lhs={lhs} rhs={rhs}"
 
 
 def test_criterion_4_burnside_three_way_agreement():
@@ -173,7 +175,7 @@ def test_criterion_8_chain_fibers_are_orbits():
 
 def test_criterion_9_determinism_and_resharding():
     with criterion(9, "shard-count invariance and byte-identical verify output"):
-        totals = {shards: lhs_star(6, 3, shards=shards) for shards in (1, 2, 8)}
+        totals = {shards: fixed_point_sum(6, 3, shards=shards) for shards in (1, 2, 8)}
         assert len(set(totals.values())) == 1, totals
         for fmt in ("json", "csv"):
             args = ("verify", "--n", "1..25", "--r", "2", "--format", fmt)

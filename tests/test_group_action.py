@@ -9,16 +9,20 @@ import ast
 import gc
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import cache
 from itertools import islice, product
 from math import gcd, lcm, prod
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import menon
 from menon import group_action
 from menon.arith import euler_phi, factorize, tau, tau_r_closed, tau_r_recursive
 from menon.group_action import (
@@ -49,7 +53,7 @@ from menon.group_action import (
     orbits_brute_force,
     units,
 )
-from menon.identity import IdentityReport, fixed_point_count_formula
+from menon.identity import fixed_point_count_formula
 
 # --- independent oracles ------------------------------------------------------
 
@@ -315,6 +319,9 @@ def test_divisor_chain_invariant_enforced():
         DivisorChain(n=12, r=2, values=(5, 1))
     with pytest.raises(ValueError):
         DivisorChain(n=12, r=2, values=(2, 8))  # 8 does not divide 12/2
+    for n, r, values in [(0, 1, (5,)), (-12, 1, (1,)), (12, 0, ())]:
+        with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
+            DivisorChain(n=n, r=r, values=values)
 
 
 def test_records_are_immutable_hashable_and_pickle_to_equal_records():
@@ -324,7 +331,6 @@ def test_records_are_immutable_hashable_and_pickle_to_equal_records():
         g,
         ResidueVector(n=4, r=2, coords=(1, 2)),
         DivisorChain(n=12, r=2, values=(2, 6)),
-        IdentityReport(n=2, r=1, lhs=1, rhs=1, group_size=1, matched=True, elapsed=0.5, shards=1),
     ]
     for rec in records:
         with pytest.raises(AttributeError):
@@ -1147,6 +1153,56 @@ def test_no_module_has_a_bare_assert():
     for path in sorted(Path(group_action.__file__).parent.glob("*.py")) + scripts:
         for node in ast.walk(ast.parse(path.read_text())):
             assert not isinstance(node, ast.Assert), f"{path.name} line {node.lineno}"
+
+
+def test_burnside_divisibility_check_survives_python_O():
+    # the leading bare assert shows that -O really strips asserts
+    code = (
+        "assert False\n"
+        "from menon import group_action\n"
+        "group_action.fixed_point_sum = lambda n, r, **kw: group_action.group_size(n, r) + 1\n"
+        "group_action.orbit_count_burnside(3, 2)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
+    assert proc.returncode != 0
+    assert b"AssertionError: fixed-point sum 13 is not divisible by |G| = 12" in proc.stderr
+
+
+def test_public_names_are_pinned():
+    # an export change has to edit this list, and is declared as one
+    names = sorted(
+        name
+        for name, value in vars(menon).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    )
+    assert names == [
+        "BudgetExceededError",
+        "DEFAULT_BUDGET",
+        "DivisorChain",
+        "ResidueVector",
+        "UpperTriangularMatrix",
+        "apply",
+        "compute_dk",
+        "count_chains",
+        "dirichlet_convolve",
+        "divisor_chain",
+        "divisors",
+        "element_at",
+        "enumerate_group",
+        "euler_phi",
+        "factorize",
+        "fixed_point_count_formula",
+        "fixed_points_direct",
+        "group_size",
+        "matmul",
+        "orbit_count_burnside",
+        "orbits_brute_force",
+        "tau",
+        "tau2_explicit",
+        "tau_r_closed",
+        "tau_r_recursive",
+        "units",
+    ]
 
 
 def test_only_the_factor_and_pool_caches_keep_state():

@@ -1,8 +1,8 @@
-"""The per-column factors, the exhaustive sweep, the closed form, reports."""
+"""The per-column factors d_k and the elimination behind them, and the
+identity itself: the exhaustive sweep fixed_point_sum against the closed
+form group_size * tau_r."""
 
 import gc
-import subprocess
-import sys
 import tracemalloc
 from itertools import product
 from math import gcd
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from menon.arith import euler_phi, tau, tau_r_recursive
 from menon.group_action import (
-    BudgetExceededError,
     UpperTriangularMatrix,
     element_at,
     enumerate_group,
@@ -21,14 +20,7 @@ from menon.group_action import (
     fixed_points_direct,
     group_size,
 )
-from menon.identity import (
-    IdentityReport,
-    _solution_count,
-    compute_dk,
-    lhs_star,
-    rhs_star,
-    verify_star,
-)
+from menon.identity import _solution_count, compute_dk
 
 
 def mat(n, rows):
@@ -133,92 +125,55 @@ def classical_sum(n):
 
 @pytest.mark.parametrize("n, lhs", [(1, 1), (3, 4), (12, 24)])
 def test_menon_classic_values(n, lhs):
-    rep = verify_star(n, 1)
-    assert rep.lhs == lhs
-    assert rep.rhs == euler_phi(n) * tau(n)
-    assert rep.matched and rep.r == 1 and rep.group_size == euler_phi(n)
+    assert fixed_point_sum(n, 1) == lhs
+    assert group_size(n, 1) * tau_r_recursive(n, 1) == euler_phi(n) * tau(n) == lhs
+    assert group_size(n, 1) == euler_phi(n)
 
 
 def test_menon_classic_holds_up_to_300():
     for n in range(1, 301):
-        assert verify_star(n, 1).matched
+        assert fixed_point_sum(n, 1) == group_size(n, 1) * tau_r_recursive(n, 1), n
 
 
 # --- the general identity -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n, r, expected", [(2, 2, 6), (4, 2, 96)])
-def test_lhs_star_values(n, r, expected):
-    assert lhs_star(n, r) == expected
+def test_fixed_point_sum_values(n, r, expected):
+    assert fixed_point_sum(n, r) == expected
 
 
-def test_lhs_star_reduces_to_classical_sum():
+def test_fixed_point_sum_reduces_to_classical_sum():
     for n in range(1, 301):
-        assert lhs_star(n, 1) == classical_sum(n)
+        assert fixed_point_sum(n, 1) == classical_sum(n)
 
 
 @pytest.mark.parametrize(
     "n, r, expected",
     [(2, 2, 6), (12, 2, 3456), (7, 1, 12), (2, 3, 32)],
 )
-def test_rhs_star_values(n, r, expected):
-    assert rhs_star(n, r) == expected
+def test_closed_form_values(n, r, expected):
+    assert group_size(n, r) * tau_r_recursive(n, r) == expected
 
 
-def test_rhs_star_r1_is_phi_times_tau():
+def test_closed_form_r1_is_phi_times_tau():
     for n in range(1, 100):
-        assert rhs_star(n, 1) == euler_phi(n) * tau(n)
+        assert group_size(n, 1) * tau_r_recursive(n, 1) == euler_phi(n) * tau(n)
 
 
 @pytest.mark.parametrize(
     "n, r, both_sides",
     [(5, 1, 8), (2, 2, 6), (2, 3, 32)],
 )
-def test_verify_star_hand_values(n, r, both_sides):
-    rep = verify_star(n, r)
-    assert rep.matched and rep.lhs == rep.rhs == both_sides
-    assert rep.group_size == group_size(n, r)
-    assert rep.elapsed >= 0.0
+def test_identity_hand_values(n, r, both_sides):
+    assert fixed_point_sum(n, r) == group_size(n, r) * tau_r_recursive(n, r) == both_sides
 
 
-def test_verify_star_matched_over_small_grid():
+def test_identity_holds_over_small_grid():
     for n in range(1, 21):
-        assert verify_star(n, 2).matched
+        assert fixed_point_sum(n, 2) == group_size(n, 2) * tau_r_recursive(n, 2), n
     for n in range(1, 9):
-        assert verify_star(n, 3).matched
-
-
-def test_verify_star_propagates_budget_refusal():
-    with pytest.raises(BudgetExceededError):
-        verify_star(100, 4, budget=1000)
-
-
-def test_lhs_star_shard_invariance():
-    expected = lhs_star(6, 3, shards=1)
-    assert lhs_star(6, 3, shards=2) == expected
-
-
-def test_report_consistency_assertion():
-    message = "report says matched=True but lhs=3, rhs=4"
-    with pytest.raises(AssertionError, match=message):
-        IdentityReport(
-            n=2, r=1, lhs=3, rhs=4, group_size=1, matched=True, elapsed=0.0, shards=1
-        )
-    # positional fields take the same check
-    with pytest.raises(AssertionError, match=message):
-        IdentityReport(2, 1, 3, 4, 1, True, 0.0, 1)
-
-
-def test_report_consistency_check_survives_python_O():
-    # the leading bare assert shows that -O really strips asserts
-    code = (
-        "assert False\n"
-        "from menon.identity import IdentityReport\n"
-        "IdentityReport(n=2, r=1, lhs=3, rhs=4, group_size=1, matched=True, elapsed=0.0, shards=1)\n"
-    )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, timeout=60)
-    assert proc.returncode != 0
-    assert b"AssertionError: report says matched=True" in proc.stderr
+        assert fixed_point_sum(n, 3) == group_size(n, 3) * tau_r_recursive(n, 3), n
 
 
 def test_sweep_memory_stays_flat_across_moduli():
@@ -226,7 +181,7 @@ def test_sweep_memory_stays_flat_across_moduli():
     tracemalloc.start()
     try:
         for n in range(1, 3001):
-            assert verify_star(n, 1).matched
+            assert fixed_point_sum(n, 1) == group_size(n, 1) * tau_r_recursive(n, 1), n
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
