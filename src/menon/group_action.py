@@ -488,28 +488,26 @@ def _run_sum(n: int, run: int, term: tuple, start: int, stop: int) -> int:
     term is (g_r, then d_i, base, sp, sq for each cokernel row with
     d_i > 1). Element e = p n + q of the run has the component
     base + p sp + q sq in row i, and its order is the lcm over the rows of
-    d_i / gcd(d_i, component); the orders are summed once per distinct
-    value. A clipped span takes a gcd per element and row. A full run
-    builds each row's orders from lines: the n orders along q repeat with
-    period d_i / gcd(d_i, sq), and the lines along p with period
-    d_i / gcd(d_i, sp), so a row takes at most d_i^2 gcds.
+    d_i / gcd(d_i, component). Each row's orders over the whole run are
+    built from lines: the n orders along q repeat with period
+    d_i / gcd(d_i, sq), and the lines along p with period
+    d_i / gcd(d_i, sp), so a row takes at most d_i^2 gcds. The orders of
+    start..stop-1 are then summed once per distinct value.
     """
     g_r = term[0]
     orders = None
     for t in range(1, len(term), 4):
         di, base, sp, sq = term[t : t + 4]
-        if stop - start < run:
-            column = [di // gcd(di, base + e // n * sp + e % n * sq) for e in range(start, stop)]
-        else:
-            per_q, per_p = di // gcd(di, sq), min(di // gcd(di, sp), run // n)
-            column = []
-            for p in range(per_p):
-                line = [di // gcd(di, base + p * sp + q * sq) for q in range(per_q)]
-                column += line * (n // per_q)
-            column *= run // n // per_p
+        per_q, per_p = di // gcd(di, sq), min(di // gcd(di, sp), run // n)
+        column = []
+        for p in range(per_p):
+            line = [di // gcd(di, base + p * sp + q * sq) for q in range(per_q)]
+            column += line * (n // per_q)
+        column *= run // n // per_p
         orders = column if orders is None else list(map(lcm, orders, column))
     if orders is None:
         return g_r * (stop - start)
+    orders = orders[start:stop]
     return sum(g_r // o * orders.count(o) for o in set(orders))
 
 
@@ -531,27 +529,26 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
 
     A run's sum depends on its lead only through M', the fixed entries of
     c and g_r, not through a_rr itself (the substitution step in Sury's
-    Burnside proof of Menon's identity). Three tables follow from that:
+    Burnside proof of Menon's identity). So a block's sum is a sum over the
+    classes of g_r, and two tables serve the walk:
 
       * the leads that share the diagonal of M' (a block) are contiguous,
         and within a block each distinct M' is reduced once;
       * within a block a_rr is the most significant digit left, so each
-        unit a_rr owns a contiguous sub-block of leads, whose sum depends
-        on a_rr only through g_r, listed once per call for each unit. A
-        block wholly inside [lo, hi) visits only the first sub-block of
-        each class and jumps from there, unread, to the next class's
-        first, adding count times class sum for the sub-blocks in between.
-        In a clipped block, a sub-block wholly inside [lo, hi) whose class
-        the block has summed adds that sum, and its leads are skipped;
+        unit a_rr owns a contiguous sub-block of leads. A block wholly
+        inside [lo, hi) walks one sub-block per class of g_r, that of the
+        class's first unit, and adds the class's number of units times its
+        sum; the classes are listed once per call. A block cut by lo or hi
+        walks every sub-block it meets;
       * a full run's sum is prod(d) times a sum fixed by g_r and the terms
         (d_i, base, sp, sq) of each row with d_i > 1, so that sum is kept
         for the call, keyed by those terms as one flat tuple, and computed
         only the first time they occur.
 
-    A run clipped by a shard bound, and so every single-element call, is
-    summed element by element (_run_sum over its span). The cells positions
-    of the strict entries of M' and of the fixed entries of c come from
-    _cell once per call.
+    A run clipped by a shard bound, and so every single-element call, sums
+    the orders of its span only (_run_sum). The block heads are decoded
+    once per call, and the cells positions of the strict entries of M' and
+    of the fixed entries of c come from _cell once per call.
 
     For n = 1 the term is 1: Z_1^r is the one vector, and the one element
     fixes it, so the shard returns hi - lo without a lead.
@@ -581,73 +578,59 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     k = r - 1
     tail = 1 if r == 2 else 2  # trailing digits, all entries of c
     run = n**tail
-    sub = n ** (r * k // 2 - tail)  # leads per a_rr: one per value of the lead's strict digits
-    strict = [_cell(r, i, j) for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal
-    fixed_at = [_cell(r, i, k) for i in range(k - tail)]  # c's entries in the lead
     pools = _pools(n, r)
-    cls = [gcd(n, u - 1) for u in pools[0]]  # g_r of each unit index of a_rr
-    span = len(cls) * sub  # leads per block
-    jumps: dict = {}  # a class's first unit index -> {g_r: units} up to the next class's
-    seen = set()
-    for i, g in enumerate(cls):
-        if g in seen:
-            gap[g] = gap.get(g, 0) + 1
-        else:
-            seen.add(g)
-            gap = jumps[i] = {}
-    first = lo // run
-    leads = islice(_product_from(pools[:-tail], first), -(-hi // run) - first)
-    total = 0
-    block = None
+    us = pools[0]  # a_rr's pool
+    rest = [tuple(pool) for pool in pools[r:-tail]]  # a lead's digits after a_rr; product takes a tuple uncopied
+    sub = n ** len(rest)  # leads per a_rr sub-block
+    strict = [_cell(r, i, j) - r for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal, in rest
+    fixed_at = [_cell(r, i, k) - r for i in range(k - tail)]  # c's entries in rest
+    classes: dict = {}  # g_r -> [first unit index, units]
+    for a, u in enumerate(us):
+        classes.setdefault(gcd(n, u - 1), [a, 0])[1] += 1
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
-    classes: dict = {}  # g_r -> sum over a whole a_rr sub-block, within the block
     terms: dict = {}  # (g_r, d_i, base, sp, sq, ...) -> a full run's sum before the factor prod(d), within the call
-    b = first - 1
-    for lead in leads:
-        b += 1
-        if b % sub == 0 or b == first:  # a new a_rr, and perhaps a new block
-            if lead[:k] != block:
-                block = lead[:k]
-                whole = b % span == 0 and lo <= b * run and (b + span) * run <= hi
-                reduced.clear()
-                classes.clear()
-            a = b // sub % len(cls)  # a_rr's unit index
-            g_r = cls[a]
-            h = n // g_r
-            mark = None  # total at the start of a sub-block wholly inside [lo, hi)
-            if b % sub == 0 and lo <= b * run and (b + sub) * run <= hi:
-                if g_r in classes:
-                    total += classes[g_r]
-                    next(islice(leads, sub - 1, sub - 1), None)
-                    b += sub - 1
-                    continue
-                mark = total
-        entries = tuple(map(lead.__getitem__, strict))
-        if entries not in reduced:
-            reduced[entries] = _cokernel(n, _leading_block(n, r, lead, k))
-        d, U = reduced[entries]
-        fixed = list(map(lead.__getitem__, fixed_at))
-        term = [g_r]
-        for row, di in zip(U, d):
-            if di > 1:
-                base = h * sum(map(mul, row, fixed)) % di
-                term += (di, base, h * row[-2] % di if tail == 2 else 0, h * row[-1] % di)
-        term = tuple(term)
-        offset = b * run
-        if lo <= offset and offset + run <= hi:
-            part = terms.get(term)
-            if part is None:
-                part = terms[term] = _run_sum(n, run, term, 0, run)
-        else:
-            part = _run_sum(n, run, term, max(lo - offset, 0), min(hi - offset, run))
-        total += prod(d) * part
-        if mark is not None and b % sub == sub - 1:
-            classes[g_r] = total - mark
-            if whole and (gap := jumps[a]):  # jump to the sub-block of the next new class
-                total += sum(c * classes[g] for g, c in gap.items())
-                skip = sum(gap.values()) * sub
-                next(islice(leads, skip, skip), None)
-                b += skip
+
+    def walk(diagonal, g_r, start, j, stop):
+        # the sum over leads j..stop-1 of the sub-block whose diagonal is
+        # `diagonal` and whose first element is start
+        h = n // g_r
+        total = 0
+        offsets = range(start + j * run, start + stop * run, run)
+        for offset, digits in zip(offsets, islice(product(*rest), j, stop)):
+            entries = tuple(map(digits.__getitem__, strict))
+            if entries not in reduced:
+                reduced[entries] = _cokernel(n, _leading_block(n, r, diagonal + digits, k))
+            d, U = reduced[entries]
+            fixed = list(map(digits.__getitem__, fixed_at))
+            term = [g_r]
+            for row, di in zip(U, d):
+                if di > 1:
+                    base = h * sum(map(mul, row, fixed)) % di
+                    term += (di, base, h * row[-2] % di if tail == 2 else 0, h * row[-1] % di)
+            term = tuple(term)
+            if lo <= offset and offset + run <= hi:
+                part = terms.get(term)
+                if part is None:
+                    part = terms[term] = _run_sum(n, run, term, 0, run)
+            else:
+                part = _run_sum(n, run, term, max(lo - offset, 0), min(hi - offset, run))
+            total += prod(d) * part
+        return total
+
+    per = sub * run  # elements per sub-block
+    span = len(us) * per  # elements per block
+    first = lo // span
+    total = 0
+    for start, head in zip(range(first * span, hi, span), _product_from(pools[:k], first)):
+        reduced.clear()
+        if lo <= start and start + span <= hi:
+            for g_r, (a, count) in classes.items():
+                total += count * walk((*head, us[a]), g_r, start + a * per, 0, sub)
+            continue
+        for a in range(max(lo - start, 0) // per, min(-(-(hi - start) // per), len(us))):
+            s = start + a * per
+            j, stop = max(lo - s, 0) // run, min(-(-(hi - s) // run), sub)
+            total += walk((*head, us[a]), gcd(n, us[a] - 1), s, j, stop)
     return total
 
 

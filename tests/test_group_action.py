@@ -614,8 +614,8 @@ def test_sweep_kernel_splits_inside_every_inner_run(n, r, run):
     + [(5, 4, 2 * group_size(5, 4) // 4**3)],
 )
 def test_full_runs_sum_as_their_elements_do(n, r, hi):
-    # a full sweep reuses each block's reductions and class sums, and the
-    # call's full-run sums
+    # a full sweep reuses each block's reductions and the call's full-run
+    # sums, and weights one sub-block per g_r class by the class's units
     assert sweep(n, r, 0, hi) == clipped_sweep(n, r, 0, hi)
 
 
@@ -643,10 +643,9 @@ def test_cached_lines_sum_as_their_elements_do(n, r, hi, monkeypatch):
 
 def test_sweep_lines_are_bounded_and_freed_per_call():
     # A full run's orders are built from lines and dropped once its sum is
-    # in the call's table of full-run sums; that table, one block's
-    # reductions and class sums peak at about 200 KB at n = 20. Nothing of
-    # them is kept once the call returns. A full collection clears the
-    # free lists first.
+    # in the call's table of full-run sums; that table and one block's
+    # reductions peak at about 170 KB at n = 20. Nothing of them is kept
+    # once the call returns. A full collection clears the free lists first.
     gc.collect()
     tracemalloc.start()
     try:
@@ -690,23 +689,22 @@ def class_boundaries(n, r, hi):
         yield c, run, block, lo_w, hi_w
 
 
-# (9, 3) has three g_r classes among its six units, so most blocks jump
-# over three sub-blocks; (4, 4) is cut to its first diagonal block, two
-# sub-blocks with fixed entries of c in their leads. At r = 2 a sub-block
-# is one run: the classes 16, 2, 4, 8 of (16, 2) first occur at units 1,
-# 3, 5 and 9, so its blocks jump over one sub-block and then three, and
-# the cut one element past a boundary falls inside those gaps; (9, 2)
-# jumps over its last three.
+# (9, 3) has three g_r classes among its six units, so a whole block
+# walks three of its six sub-blocks; (4, 4) is cut to its first diagonal
+# block, two sub-blocks with fixed entries of c in their leads. At r = 2 a
+# sub-block is one run: the classes 16, 2, 4, 8 of (16, 2) first occur at
+# units 1, 3, 5 and 9, so a whole block walks those four of its eight
+# sub-blocks, and a cut one element past a boundary clips the block, which
+# then walks the other four too; (9, 2) walks the first three of its six.
 @pytest.mark.parametrize(
     "n, r, hi",
     [(9, 3, group_size(9, 3)), (4, 4, 4**6 * 2), (16, 2, group_size(16, 2)), (9, 2, group_size(9, 2))],
 )
 def test_sweep_splits_at_every_class_boundary(n, r, hi):
-    # A block visits one sub-block per g_r class and jumps over the rest
-    # only when it lies wholly inside the call; a clipped block skips a
-    # sub-block whose class it has summed only when that sub-block does.
-    # Cuts at each boundary, one run either side of it and one element past
-    # it clip the sub-blocks around it.
+    # A block walks one sub-block per g_r class, weighted by the class's
+    # units, only when it lies wholly inside the call; a clipped block walks
+    # every sub-block it meets. Cuts at each boundary, one run either side
+    # of it and one element past it clip the sub-blocks around it.
     clipped = {}
     for c, run, block, lo_w, hi_w in class_boundaries(n, r, hi):
         for b in range(lo_w, hi_w, block):
@@ -734,8 +732,9 @@ def test_each_distinct_leading_block_is_reduced_once(n, r, monkeypatch):
 
 
 def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
-    # g_r is read from one gcd per unit of the a_rr pool, and a block visits
-    # one a_rr per class; reading it per lead took phi(n)^2 = 10 404 gcds
+    # g_r is read from one gcd per unit of the a_rr pool into the call's
+    # list of classes, and a whole block walks one a_rr per class; reading
+    # it per lead took phi(n)^2 = 10 404 gcds
     calls = []
 
     def counted(*args):
@@ -745,6 +744,17 @@ def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
     monkeypatch.setattr(group_action, "gcd", counted)
     assert fixed_point_sum(103, 2) == group_size(103, 2) * tau_r_closed(103, 2)
     assert len(calls) < 10 * euler_phi(103), len(calls)
+
+
+def test_two_shard_cuts_fall_on_block_boundaries():
+    # A block cut by a shard bound walks every sub-block it meets, not one
+    # per g_r class. The 2-shard sweeps cut none past n = 2: phi(n) is even
+    # for n >= 3, so |G| / 2 is a whole number of blocks of
+    # phi(n) * n^(r(r-1)/2) elements.
+    for r, top in ((2, 150), (3, 24)):
+        for n in range(3, top + 1):
+            (_, cut), _ = _shard_bounds(group_size(n, r), 2)
+            assert cut % (euler_phi(n) * n ** (r * (r - 1) // 2)) == 0, (n, r)
 
 
 def test_r2_identity_holds_past_the_acceptance_domain():

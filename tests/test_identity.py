@@ -189,8 +189,8 @@ def test_sweep_memory_stays_flat_across_moduli():
 
 
 def test_sweep_tables_are_bounded_and_freed_per_call():
-    # The kernel keeps its reductions and class sums for one diagonal
-    # block, and its full-run sums for one call. Without them this sweep
+    # The kernel keeps its reductions for one diagonal block, and its
+    # full-run sums for one call. Without them this sweep
     # peaked at 7 KB, with them at about 85 KB; memory kept past a call
     # would show in the second peak and in what is still held once the
     # call returns. Objects parked on the interpreter's free lists stay
