@@ -9,6 +9,7 @@ import ast
 import gc
 import pickle
 import random
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -54,6 +55,8 @@ from menon.group_action import (
     units,
 )
 from menon.identity import fixed_point_count_formula
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # --- independent oracles ------------------------------------------------------
 
@@ -493,15 +496,28 @@ def sweep(n, r, lo, hi):
     return _fixed_point_sum_shard((n, r, lo, hi))
 
 
+def element_run_sum(n, run, term, start, stop):
+    """_run_sum element by element, with no lines: element e = p n + q of
+    the run has order lcm_i d_i / gcd(d_i, base_i + p sp_i + q sq_i)."""
+    g_r, rows = term[0], [term[t : t + 4] for t in range(1, len(term), 4)]
+    return sum(
+        g_r // lcm(*(di // gcd(di, base + e // n * sp + e % n * sq) for di, base, sp, sq in rows))
+        for e in range(start, stop)
+    )
+
+
 def clipped_sweep(n, r, lo, hi):
     """The sweep over [lo, hi), each run of one lead split between two
-    calls: every run is clipped, so each element gets its own term, and
-    every call starts with nothing reduced or summed."""
+    calls: every run is clipped, and every call starts with nothing
+    reduced or summed. A clipped run is summed by element_run_sum, so each
+    element gets its own term, independent of the kernel's lines."""
     run = n ** min(r - 1, 2)  # elements per lead: 1 (r = 1), n or n^2
-    return sum(
-        sweep(n, r, b, b + run - 1) + sweep(n, r, b + run - 1, b + run)
-        for b in range(lo, hi, run)
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group_action, "_run_sum", element_run_sum)
+        return sum(
+            sweep(n, r, b, b + run - 1) + sweep(n, r, b + run - 1, b + run)
+            for b in range(lo, hi, run)
+        )
 
 
 KERNEL_GRID = (
@@ -746,15 +762,25 @@ def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
     assert len(calls) < 10 * euler_phi(103), len(calls)
 
 
-def test_two_shard_cuts_fall_on_block_boundaries():
+def test_shard_cuts_fall_on_block_boundaries():
     # A block cut by a shard bound walks every sub-block it meets, not one
-    # per g_r class. The 2-shard sweeps cut none past n = 2: phi(n) is even
-    # for n >= 3, so |G| / 2 is a whole number of blocks of
-    # phi(n) * n^(r(r-1)/2) elements.
-    for r, top in ((2, 150), (3, 24)):
+    # per g_r class. The benchmark's sharded sweeps cut none past n = 2:
+    # at 2 shards, phi(n) is even for n >= 3, so |G| / 2 is a whole number
+    # of blocks of phi(n) * n^(r(r-1)/2) elements. Beyond them, every
+    # 2-shard sweep at r = 2 with n <= 150 and at r = 3 with n <= 24.
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    sharded = [
+        (w.r, w.n_max, w.shards)
+        for workload in workloads.values()
+        for w in workload.invocations
+        if w.shards > 1 and w.r > 1
+    ]
+    assert sharded
+    for r, top, shards in sharded + [(2, 150, 2), (3, 24, 2)]:
         for n in range(3, top + 1):
-            (_, cut), _ = _shard_bounds(group_size(n, r), 2)
-            assert cut % (euler_phi(n) * n ** (r * (r - 1) // 2)) == 0, (n, r)
+            block = euler_phi(n) * n ** (r * (r - 1) // 2)
+            for lo, _ in _shard_bounds(group_size(n, r), shards):
+                assert lo % block == 0, (n, r, shards, lo)
 
 
 def test_r2_identity_holds_past_the_acceptance_domain():
