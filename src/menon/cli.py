@@ -14,14 +14,15 @@ Machine-readable records go to stdout (or --out) as JSON lines or RFC-4180
 CSV. All exact integers are serialized as decimal strings. Record streams
 are byte-deterministic for a fixed config: the elapsed_s field of verify
 records is always 0.0, and wall-clock timing is reported by bench only.
-verify, burnside and bench sweep the group and take --shards (where the
-shards run: group_action.fixed_point_sum). tau and chains take no
---shards; they refuse when r * tau(n)^2 exceeds the budget. Budget refusals are JSON diagnostics on stderr, never
-partial records. A diagnostic carries group_size only when the refused
-work enumerates the group, and neither group_size nor estimated_ops when
-r alone puts |G| over the budget, which is decided before either is
-computed. A mismatch or disagreement is reported on stderr, its record is
-still written, and the run goes on to the next n.
+verify, burnside and bench sweep the group and take --shards; under the
+pool floor a sweep is one kernel call, whatever --shards is (see
+group_action.fixed_point_sum). tau and chains take no --shards; they
+refuse when r * tau(n)^2 exceeds the budget. Budget refusals are JSON
+diagnostics on stderr, never partial records. A diagnostic carries
+group_size only when the refused work enumerates the group, and neither
+group_size nor estimated_ops when r alone puts |G| over the budget, which
+is decided before either is computed. A mismatch or disagreement is
+reported on stderr, its record is still written, and the run goes on.
 
 Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
 64 usage (including any n, --r, --shards or --budget above
@@ -105,7 +106,7 @@ def _count_arg(text: str) -> int:
 
 
 class RecordWriter:
-    """Writes dict records with a fixed field order as JSON lines or CSV."""
+    """Writes dict records whose keys are the fields, in order, as JSON lines or CSV."""
 
     def __init__(self, fields: tuple[str, ...], fmt: str, stream) -> None:
         self.fields = fields
@@ -125,7 +126,7 @@ class RecordWriter:
 
     def write(self, record: dict) -> None:
         if self.fmt == "json":
-            self.stream.write(json.dumps({f: record[f] for f in self.fields}) + "\n")
+            self.stream.write(json.dumps(record) + "\n")
         elif self.fmt == "csv":
             self._csv.writerow([self._cell(record[f]) for f in self.fields])
         else:  # plain: bare values, one per line
@@ -147,11 +148,10 @@ def _cannot_write(exc: OSError, stream) -> int:
 
 
 def _check_divisor_budget(n: int, r: int, budget: int) -> None:
-    # tau and chains run r levels over divisor tables; no level of either
-    # takes more than tau(n)^2 steps. The recursion runs only for the first
-    # n of each exponent tuple, which this still bounds; a refused n neither
-    # reads nor writes the tau_r table.
-    _check_budget(f"divisor tables of {n}", r * tau(n) ** 2, budget)
+    # tau and chains run r levels over divisor tables, none over tau(n)^2
+    # steps. The recursion runs only for the first n of each exponent tuple,
+    # which this still bounds; a refused n never touches the tau_r table.
+    _check_budget("divisor tables of {n}", n, r, r * tau(n) ** 2, budget)
 
 
 def _tau_r(n: int, r: int, shapes: dict[tuple[int, ...], int]) -> int:
@@ -276,7 +276,7 @@ def _run(args: argparse.Namespace, out, fields: tuple[str, ...], row) -> int:
         try:
             # Trial division runs up to isqrt(n); refuse before it starts,
             # and without a group size, whose phi(n) would factorize n.
-            _check_budget(f"factorizing {n}", isqrt(n), args.budget)
+            _check_budget("factorizing {n}", n, args.r, isqrt(n), args.budget)
             record, problem = row(n, args, shapes)
         except BudgetExceededError as exc:
             _refuse(n, args.r, exc)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max estimated elementary operations per call")
         if name in ("verify", "burnside", "bench"):  # the subcommands that sweep G
             p.add_argument("--shards", type=_count_arg, default=1,
-                           help="shards per sweep; large sweeps run them on min(shards, CPUs) workers")
+                           help="shards per sweep on min(shards, CPUs) workers; a sweep under the pool floor runs whole in-process")
         # tau defaults to bare values, one per line
         p.add_argument("--format", choices=("json", "csv"), dest="fmt",
                        default="plain" if name == "tau" else "json", help="record format")

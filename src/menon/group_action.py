@@ -52,13 +52,14 @@ class BudgetExceededError(RuntimeError):
         self.group_size = group_size
 
 
-def _check_budget(op: str, estimated_ops: int, budget: int, size: int | None = None) -> None:
+def _check_budget(op: str, n: int, r: int, estimated_ops: int, budget: int, size: int | None = None) -> None:
     """Refuse op when its estimate exceeds the budget; size is |G| when op
-    enumerates the group, else None."""
+    enumerates the group, else None. op is a str.format template over n
+    and r that only a refusal fills in, so an admitting check formats none."""
     if estimated_ops > budget:
         group = "" if size is None else f"group size {size}, "
         raise BudgetExceededError(
-            f"{op} refused: {group}estimated {estimated_ops} elementary "
+            f"{op.format(n=n, r=r)} refused: {group}estimated {estimated_ops} elementary "
             f"operations exceeds budget {budget}",
             estimated_ops=estimated_ops,
             budget=budget,
@@ -66,7 +67,7 @@ def _check_budget(op: str, estimated_ops: int, budget: int, size: int | None = N
         )
 
 
-def _check_floor(op: str, n: int, bits: int, budget: int) -> None:
+def _check_floor(op: str, n: int, r: int, bits: int, budget: int) -> None:
     """Refuse work that costs at least 2^bits operations for n >= 2 once
     that bound alone exceeds the budget.
 
@@ -76,7 +77,7 @@ def _check_floor(op: str, n: int, bits: int, budget: int) -> None:
     """
     if n >= 2 and bits >= budget.bit_length():
         raise BudgetExceededError(
-            f"{op} refused: at least 2^{bits} elementary operations exceeds budget {budget}",
+            f"{op.format(n=n, r=r)} refused: at least 2^{bits} elementary operations exceeds budget {budget}",
             estimated_ops=None,
             budget=budget,
         )
@@ -251,9 +252,9 @@ def _product_from(pools: list, first: int):
 
 def _admit_sweep(op: str, n: int, r: int, budget: int) -> int:
     """Refuse op, a sweep of the group, when |G| * r^2 exceeds the budget; return |G|."""
-    _check_floor(op, n, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
+    _check_floor(op, n, r, r * (r - 1) // 2, budget)  # |G| >= 2^(r(r-1)/2)
     size = group_size(n, r)
-    _check_budget(op, size * r * r, budget, size)
+    _check_budget(op, n, r, size * r * r, budget, size)
     return size
 
 
@@ -263,7 +264,7 @@ def enumerate_group(n: int, r: int, budget: int = DEFAULT_BUDGET):
     Refuses up front (BudgetExceededError) when the estimated sweep cost
     |G| * r^2 exceeds the budget.
     """
-    size = _admit_sweep(f"enumerate_group({n}, {r})", n, r, budget)
+    size = _admit_sweep("enumerate_group({n}, {r})", n, r, budget)
     return (UpperTriangularMatrix(n=n, r=r, cells=cells) for cells in _iter_cells(n, r, 0, size))
 
 
@@ -298,7 +299,7 @@ def fixed_points_direct(g: UpperTriangularMatrix, budget: int = DEFAULT_BUDGET) 
     """|X^g| by full enumeration of Z_n^r. The trusted slow path."""
     n, r = g.n, g.r
     cost = n**r * r * r
-    _check_budget(f"fixed_points_direct(n={n}, r={r})", cost, budget, group_size(n, r))
+    _check_budget("fixed_points_direct(n={n}, r={r})", n, r, cost, budget, group_size(n, r))
     # rows checked bottom-up, so most vectors fail fast on the single-term last row
     rows = g.rows()
     order = range(r - 1, -1, -1)
@@ -731,17 +732,16 @@ _POOL_MIN_OPS = 2**22
 def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
     """Sum of |X^g| over the whole group, the left-hand side of the identity.
 
-    The index space is split into min(shards, |G|) contiguous ranges (more
-    would only add empty ones, which sum to 0); each shard is a pure fold
-    and the shard totals are summed in shard order, so the result is
-    identical for every shard count, wherever the shards run.
-
     Shards run on a shared pool of min(shards, CPUs) workers only when
     that is two workers or more and the estimate |G| * r^2 is at least
-    _POOL_MIN_OPS = 2^22; otherwise they run one after another in this
-    process. The floor keeps every sharded sweep of the benchmark (n <= 60
-    at r = 2, the largest (59, 2) at 793904) off the pool, which would
-    cost a process about 20 ms to start (importing multiprocessing,
+    _POOL_MIN_OPS = 2^22. The index space is then split into
+    min(shards, |G|) contiguous pieces (more would only add empty ones);
+    each is a pure fold, summed in shard order, so the result is identical
+    for every shard count. Otherwise the sweep is one kernel call in this
+    process, whatever shards is: each piece would rebuild the kernel's
+    per-call tables. The floor keeps the benchmark's sharded sweeps
+    (n <= 60 at r = 2, the largest (59, 2) at 793904) off the pool, which
+    would cost a process about 20 ms to start (importing multiprocessing,
     forking two workers) and more at exit. Where past the floor the pool
     starts to pay is unverified: no benchmark workload runs a sharded
     sweep there, and the bound rests on warm-pool timings only. In-process
@@ -756,11 +756,11 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     for every n <= 2^63 - 1 (n / phi(n) is largest at the primorial
     614889782588491410, where it is 7.2096).
     """
-    size = _admit_sweep(f"group sweep(n={n}, r={r})", n, r, budget)
-    pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, size))]
+    size = _admit_sweep("group sweep(n={n}, r={r})", n, r, budget)
     if size * r * r >= _POOL_MIN_OPS and (workers := min(shards, _cpus())) > 1:
+        pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, size))]
         return sum(_pool(workers).map(_fixed_point_sum_shard, pieces))
-    return sum(map(_fixed_point_sum_shard, pieces))
+    return _fixed_point_sum_shard((n, r, 0, size))
 
 
 def orbit_count_burnside(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 1) -> int:
@@ -824,15 +824,15 @@ def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tup
     ingredients are the raw group action and a disjoint-set forest. Blocks
     are returned lexicographically sorted.
     """
-    op = f"orbits_brute_force(n={n}, r={r})"
-    _check_floor(op, n, r, budget)  # n^r >= 2^r
+    op = "orbits_brute_force(n={n}, r={r})"
+    _check_floor(op, n, r, r, budget)  # n^r >= 2^r
     size = group_size(n, r)
     space = n**r
     # n^r r^2 <= budget bounds n before units(n) is walked for the generators
-    _check_budget(op, space * r * r, budget, size)
+    _check_budget(op, n, r, space * r * r, budget, size)
     # len(_generators(n, r)), counted before any generator is built
     count = r * len(_unit_generators(n)) + r * (r - 1) // 2
-    _check_budget(op, count * space * r * r, budget, size)
+    _check_budget(op, n, r, count * space * r * r, budget, size)
     gens = _generators(n, r)
 
     parent = list(range(space))

@@ -27,6 +27,8 @@ from menon.arith import (
 from menon.group_action import (
     DEFAULT_BUDGET,
     ResidueVector,
+    _fixed_point_sum_shard,
+    _shard_bounds,
     count_chains,
     divisor_chain,
     enumerate_group,
@@ -175,7 +177,12 @@ def test_criterion_8_chain_fibers_are_orbits():
 
 def test_criterion_9_determinism_and_resharding():
     with criterion(9, "shard-count invariance and byte-identical verify output"):
-        totals = {shards: fixed_point_sum(6, 3, shards=shards) for shards in (1, 2, 8)}
+        # an in-process sweep is one kernel call; the pieces a pool would
+        # run are summed here, so split pieces stay checked too
+        totals = {shards: fixed_point_sum(6, 3, shards=shards) for shards in (1, 2, 3, 8)}
+        for shards in (1, 2, 3, 8):
+            bounds = _shard_bounds(group_size(6, 3), shards)
+            totals["pieces", shards] = sum(_fixed_point_sum_shard((6, 3, lo, hi)) for lo, hi in bounds)
         assert len(set(totals.values())) == 1, totals
         for fmt in ("json", "csv"):
             args = ("verify", "--n", "1..25", "--r", "2", "--format", fmt)

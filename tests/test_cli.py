@@ -8,6 +8,7 @@ import json
 import os
 import re
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -324,6 +325,22 @@ def test_zero_shards_is_a_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_a_sharded_sweep_under_the_pool_floor_is_one_kernel_call(capsys, monkeypatch):
+    # every (n, 2) with n <= 60 is under group_action._POOL_MIN_OPS, so each
+    # sweep runs whole in this process: one call per n, not one per shard
+    calls = []
+    real = group_action._fixed_point_sum_shard
+
+    def counted(args):
+        calls.append(args)
+        return real(args)
+
+    monkeypatch.setattr(group_action, "_fixed_point_sum_shard", counted)
+    code, out, _ = run_cli(capsys, "verify", "--n", "1..60", "--r", "2", "--shards", "2")
+    assert code == EXIT_OK and len(out.splitlines()) == 60
+    assert calls == [(n, 2, 0, group_action.group_size(n, 2)) for n in range(1, 61)]
+
+
 def test_tau_path_disagreement_exits_1(capsys, monkeypatch):
     # all paths agree on real inputs, so fake one to pin the exit code;
     # like every command, tau reports each disagreement and goes on
@@ -521,6 +538,22 @@ def test_divisor_tables_over_budget_are_refused(capsys, command):
     assert diag["estimated_ops"] == "36000" and diag["budget"] == "10000"
 
 
+def test_cli_refusals_keep_their_text(capsys, monkeypatch):
+    # the diagnostics carry no message, so catch each refusal where the run
+    # reports it; a check fills in the operation's name only when it refuses
+    messages = []
+    monkeypatch.setattr(cli, "_refuse", lambda n, r, exc: messages.append(str(exc)))
+    code, _, _ = run_cli(capsys, "tau", "--n", "1000000000000000003", "--r", "2")
+    assert code == EXIT_REFUSED
+    code, _, _ = run_cli(capsys, "chains", "--n", "12", "--r", "1000", "--budget", "10000")
+    assert code == EXIT_REFUSED
+    assert messages == [
+        "factorizing 1000000000000000003 refused: estimated 1000000000 elementary operations "
+        "exceeds budget 100000000",
+        "divisor tables of 12 refused: estimated 36000 elementary operations exceeds budget 10000",
+    ]
+
+
 # (argv, exit code, sha256 of stdout, sha256 of stderr). A refactor keeps
 # every byte of the records and diagnostics; a change of format updates
 # these on purpose. "verify --n 1..9 --r 4" refuses n = 7..9.
@@ -549,6 +582,30 @@ def test_records_and_diagnostics_keep_their_bytes(capsys):
         got_code, out, err = run_cli(capsys, *argv.split())
         got = (got_code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest())
         assert got == (code, out_sha, err_sha), argv
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_row_builds_its_record_in_field_order(command):
+    # RecordWriter dumps a JSON record as built, so its keys must be the
+    # command's fields, in order
+    row, fields, _ = cli._COMMANDS[command]
+    args = cli.build_parser().parse_args([command, "--n", "1..12", "--r", "2"])
+    for n in (1, 12):
+        record, problem = row(n, args, {})
+        assert problem is None and tuple(record) == fields, (command, n)
+
+
+def test_benchmark_workloads_keep_their_digests(capsys):
+    # each workload of perfbench/workloads.py, run in this process: a
+    # change to the record bytes fails here before it fails the benchmark
+    workloads = runpy.run_path(str(Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"))
+    for workload in workloads["WORKLOADS"].values():
+        digest = hashlib.sha256()
+        for invocation in workload.invocations:
+            code, out, err = run_cli(capsys, *invocation.args())
+            assert (code, err) == (EXIT_OK, ""), invocation.label()
+            digest.update(out.encode())
+        assert digest.hexdigest() == workload.digest, workload.name
 
 
 # --- the per-invocation tau_r table -----------------------------------------------

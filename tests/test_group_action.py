@@ -944,9 +944,13 @@ def test_shard_bounds_partition_evenly():
 
 
 def test_fixed_point_sum_is_shard_invariant():
+    # in-process, a sweep is one kernel call whatever shards is; the pool's
+    # split pieces, summed in this process, must give the same total
     single = fixed_point_sum(6, 3, shards=1)
-    assert fixed_point_sum(6, 3, shards=2) == single
-    assert fixed_point_sum(6, 3, shards=3) == single
+    for shards in (1, 2, 3, 8):
+        assert fixed_point_sum(6, 3, shards=shards) == single
+        pieces = _shard_bounds(group_size(6, 3), shards)
+        assert sum(_fixed_point_sum_shard((6, 3, lo, hi)) for lo, hi in pieces) == single, shards
 
 
 @pytest.fixture
@@ -986,7 +990,7 @@ def test_pool_workers_are_capped_by_cpu_count(fake_pools, monkeypatch):
 
 def test_a_sweep_takes_the_pool_only_at_the_floor_with_two_workers(fake_pools, monkeypatch):
     # the pool needs two workers and |G| * r^2 at the floor; short of
-    # that, every piece runs in this process
+    # that, the sweep is one kernel call in this process, whatever shards is
     expected = {n: fixed_point_sum(n, 2) for n in (4, 5)}  # one piece
     monkeypatch.setattr(group_action, "_POOL_MIN_OPS", group_size(5, 2) * 4)
     pieces = []
@@ -1001,7 +1005,7 @@ def test_a_sweep_takes_the_pool_only_at_the_floor_with_two_workers(fake_pools, m
     monkeypatch.setattr(group_action.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert fixed_point_sum(5, 2, shards=2) == expected[5]  # one worker
     assert fake_pools == []
-    assert len(pieces) == 1 + 2 + 2
+    assert pieces == [(5, 2, 0, 80), (4, 2, 0, 16), (5, 2, 0, 80)]  # 1 + 1 + 1 whole-range calls
     monkeypatch.setattr(group_action.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert fixed_point_sum(5, 2, shards=2) == expected[5]  # at the floor
     assert fixed_point_sum(7, 2, shards=2) == fixed_point_sum(7, 2)  # over it, the same pool
@@ -1061,6 +1065,42 @@ def test_fixed_point_sum_refuses_over_budget():
     with pytest.raises(BudgetExceededError) as err:
         fixed_point_sum(100, 4, budget=1000)
     assert err.value.estimated_ops > 1000
+
+
+# The text of each kind of refusal. A check fills in the operation's name
+# only when it refuses, and must then print exactly this.
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: fixed_point_sum(100, 4, budget=1000),
+         "group sweep(n=100, r=4) refused: group size 2560000000000000000, "
+         "estimated 40960000000000000000 elementary operations exceeds budget 1000"),
+        (lambda: fixed_point_sum(10, 100),
+         "group sweep(n=10, r=100) refused: at least 2^4950 elementary operations exceeds budget 100000000"),
+        (lambda: enumerate_group(6, 3, budget=1000),
+         "enumerate_group(6, 3) refused: group size 1728, estimated 15552 elementary operations "
+         "exceeds budget 1000"),
+        (lambda: enumerate_group(2, 30),
+         "enumerate_group(2, 30) refused: at least 2^435 elementary operations exceeds budget 100000000"),
+        (lambda: fixed_points_direct(UpperTriangularMatrix.identity(10, 3), budget=1000),
+         "fixed_points_direct(n=10, r=3) refused: group size 64000, estimated 9000 elementary "
+         "operations exceeds budget 1000"),
+        (lambda: orbits_brute_force(10, 3, budget=1000),
+         "orbits_brute_force(n=10, r=3) refused: group size 64000, estimated 9000 elementary "
+         "operations exceeds budget 1000"),
+        (lambda: orbits_brute_force(3, 3, budget=1000),  # by its generator count
+         "orbits_brute_force(n=3, r=3) refused: group size 216, estimated 1458 elementary "
+         "operations exceeds budget 1000"),
+        (lambda: orbits_brute_force(2, 30),
+         "orbits_brute_force(n=2, r=30) refused: at least 2^30 elementary operations exceeds budget 100000000"),
+    ],
+    ids=["sweep", "sweep-floor", "enumerate", "enumerate-floor", "direct", "unionfind",
+         "unionfind-generators", "unionfind-floor"],
+)
+def test_refusal_messages_keep_their_text(refused, message):
+    with pytest.raises(BudgetExceededError) as err:
+        refused()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
