@@ -635,78 +635,24 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     return total
 
 
-def _serve(conn, parent_ends) -> None:
-    """A pool worker: run each (fn, args) that arrives on `conn` and send
-    back (True, result) or (False, (exception, traceback text)).
-
-    A forked worker inherits the parent's ends of the pipes made so far,
-    its own among them; it closes them, so that it reads EOF and returns
-    once the parent is gone.
-    """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-    for end in parent_ends:
-        end.close()
-    try:
-        while True:
-            fn, args = conn.recv()
-            try:
-                reply = True, fn(args)
-            except Exception as exc:
-                import traceback
-
-                reply = False, (exc, traceback.format_exc())
-            conn.send(reply)
-    except (EOFError, OSError):
-        return
-
-
-class ProcessPoolExecutor:
-    """Worker processes that each take one piece at a time over a pipe of
-    their own; `map` returns the results in input order. It keeps the
-    constructor of `concurrent.futures.ProcessPoolExecutor` and its `map`
-    over one iterable.
-
-    A piece costs one send and one receive. In concurrent.futures it also
-    passes a feeder and a manager thread each way, and on a shared 2-vCPU
-    host those hand-offs were about a quarter of a 2-shard sweep over
-    small moduli, and most of its spread from run to run.
+def ProcessPoolExecutor(max_workers: int):
+    """A multiprocessing.pool.Pool of max_workers forked workers; its `map`
+    returns the results in input order and re-raises a worker's exception
+    with the worker's traceback as its __cause__.
 
     multiprocessing is imported on first use, so a run whose sweeps all
     run in-process (see fixed_point_sum) starts without it. The workers
-    are daemonic: multiprocessing stops them when the parent exits. The
-    name stays a module attribute so that callers can rebind it to count
-    or fake the pools that `_pool` builds.
+    ignore SIGINT, so Ctrl-C stays the parent's, and the pool is
+    terminated at exit. The name stays a module attribute so that callers
+    can rebind it to count or fake the pools that `_pool` builds.
     """
+    import atexit
+    import signal
+    from multiprocessing.pool import Pool
 
-    def __init__(self, max_workers: int) -> None:
-        import multiprocessing
-
-        self._conns = []
-        for _ in range(max_workers):
-            mine, theirs = multiprocessing.Pipe()
-            self._conns.append(mine)
-            multiprocessing.Process(target=_serve, args=(theirs, self._conns), daemon=True).start()
-            theirs.close()
-
-    def map(self, fn, items) -> list:
-        # Pieces go out in rounds of one per worker. Every reply of a round
-        # is read before a failure is raised, so that no stale reply is left
-        # to answer the next round.
-        items = list(items)
-        results = []
-        for start in range(0, len(items), len(self._conns)):
-            batch = list(zip(self._conns, items[start : start + len(self._conns)]))
-            for conn, item in batch:
-                conn.send((fn, item))
-            replies = [conn.recv() for conn, _ in batch]
-            for ok, value in replies:
-                if not ok:
-                    exc, text = value
-                    raise exc from RuntimeError(f"in a pool worker:\n{text}")
-            results += [value for _, value in replies]
-        return results
+    pool = Pool(max_workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    atexit.register(pool.terminate)
+    return pool
 
 
 @cache
@@ -734,22 +680,25 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
 
     Shards run on a shared pool of min(shards, CPUs) workers only when
     that is two workers or more and the estimate |G| * r^2 is at least
-    _POOL_MIN_OPS = 2^22. The index space is then split into
-    min(shards, |G|) contiguous pieces (more would only add empty ones);
-    each is a pure fold, summed in shard order, so the result is identical
-    for every shard count. Otherwise the sweep is one kernel call in this
-    process, whatever shards is: each piece would rebuild the kernel's
-    per-call tables. The floor keeps the benchmark's sharded sweeps
-    (n <= 60 at r = 2, the largest (59, 2) at 793904) off the pool, which
-    would cost a process about 20 ms to start (importing multiprocessing,
-    forking two workers) and more at exit. Where past the floor the pool
-    starts to pay is unverified: no benchmark workload runs a sharded
-    sweep there, and the bound rests on warm-pool timings only. In-process
-    medians of 7 on a 2-vCPU host, inline against a warm 2-shard pool:
-    (59, 2) 0.9 against 1.1 ms; (103, 2), the first r = 2 sweep at the
-    floor, 1.5 against 1.7 ms; (151, 2) 2.1 against 2.4 ms, so at r = 2
-    even a warm pool loses; (6, 4) 139 against 109 ms; (5, 4) 534 against
-    306 ms; but (13, 3), at 8 times the floor, 19 against 20 ms.
+    _POOL_MIN_OPS = 2^22. The index space is then split into min(shards,
+    grain) contiguous pieces, the grain being the kernel's phi(n)^(r-1)
+    diagonal blocks (r >= 2) or its ceil(n / _R1_WINDOW) residue windows
+    (r = 1): each piece rebuilds the kernel's per-call tables, so finer
+    pieces would only repeat that work. Each piece is a pure fold, summed
+    in shard order, so the result is identical for every shard count.
+    Otherwise the sweep is one kernel call in this process, whatever
+    shards is. The floor keeps the benchmark's sharded sweeps (n <= 60 at
+    r = 2, the largest (59, 2) at 793904) off the pool, which costs a
+    process about 28 ms to start (importing multiprocessing, forking two
+    workers; medians of 12 CLI runs of (103, 2), 2 shards against 1).
+    Where past the floor the pool starts to pay is unverified: no
+    benchmark workload runs a sharded sweep there, and the bound rests on
+    warm-pool timings only. In-process on a 2-vCPU host, inline against a
+    warm 2-shard pool, the middle of three medians of 7: (59, 2) 0.7
+    against 0.9 ms; (103, 2), the first r = 2 sweep at the floor, 0.8
+    against 1.5 ms; (151, 2) 1.1 against 1.6 ms, so at r = 2 even a warm
+    pool loses; (6, 4) 119 against 85 ms; (5, 4) 335 against 235 ms;
+    (13, 3), at 8 times the floor, 14 against 11 ms.
 
     The budget estimate is |G| * r^2, which at r = 1 is phi(n). The r = 1
     kernel scans residues, not units: n of them, and n <= 7.21 * phi(n)
@@ -758,7 +707,8 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     """
     size = _admit_sweep("group sweep(n={n}, r={r})", n, r, budget)
     if size * r * r >= _POOL_MIN_OPS and (workers := min(shards, _cpus())) > 1:
-        pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, size))]
+        grain = -(-n // _R1_WINDOW) if r == 1 else euler_phi(n) ** (r - 1)
+        pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, grain))]
         return sum(_pool(workers).map(_fixed_point_sum_shard, pieces))
     return _fixed_point_sum_shard((n, r, 0, size))
 

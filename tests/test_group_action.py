@@ -7,9 +7,12 @@ the enumeration/odometer machinery under test.
 
 import ast
 import gc
+import json
+import os
 import pickle
 import random
 import runpy
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -33,6 +36,7 @@ from menon.group_action import (
     UpperTriangularMatrix,
     _cell,
     _cokernel,
+    _cpus,
     _fixed_point_sum_shard,
     _generators,
     _iter_cells,
@@ -1012,16 +1016,21 @@ def test_a_sweep_takes_the_pool_only_at_the_floor_with_two_workers(fake_pools, m
     assert fake_pools == [2]
 
 
-def test_r1_shards_agree_with_the_gcd_oracle(fake_pools):
+def test_r1_shards_agree_with_the_gcd_oracle():
+    # a pooled r = 1 sweep of n <= 2^20 is one window, so one piece; the
+    # split pieces are summed here, as criterion 9 does
     for n in range(1, 301):
-        expected = unit_gcd_sum(n, 0, len(units(n)))
+        phi = euler_phi(n)
+        expected = unit_gcd_sum(n, 0, phi)
+        assert fixed_point_sum(n, 1) == expected, n
         for s in range(1, 6):
-            assert fixed_point_sum(n, 1, shards=s) == expected, (n, s)
+            pieces = _shard_bounds(phi, s)
+            assert sum(_fixed_point_sum_shard((n, 1, lo, hi)) for lo, hi in pieces) == expected, (n, s)
 
 
-def test_more_shards_than_elements_map_one_piece_per_element(fake_pools, monkeypatch):
-    # 10^5 shards of an 80-element group would be mostly empty tuples
-    single = fixed_point_sum(5, 2, shards=1)
+def test_more_shards_than_blocks_map_one_piece_per_block(fake_pools, monkeypatch):
+    # each piece rebuilds the kernel's per-call tables, so a sweep maps no
+    # more pieces than its phi(n)^(r-1) diagonal blocks, whatever shards is
     pieces = []
 
     def counted(args):
@@ -1029,36 +1038,76 @@ def test_more_shards_than_elements_map_one_piece_per_element(fake_pools, monkeyp
         return _fixed_point_sum_shard(args)
 
     monkeypatch.setattr(group_action, "_fixed_point_sum_shard", counted)
-    assert fixed_point_sum(5, 2, shards=10**5) == single
-    assert len(pieces) <= group_size(5, 2) == 80
+    for n, shards in ((5, 10**5), (103, 10**6)):
+        pieces.clear()
+        assert fixed_point_sum(n, 2, shards=shards) == _fixed_point_sum_shard((n, 2, 0, group_size(n, 2)))
+        assert len(pieces) == euler_phi(n), n
+    assert fake_pools == [4]
 
 
 def test_pool_map_keeps_input_order_over_several_rounds():
-    pool = group_action.ProcessPoolExecutor(max_workers=2)
-    assert pool.map(abs, range(-7, 0)) == [7, 6, 5, 4, 3, 2, 1]
-    assert pool.map(abs, []) == []
+    with group_action.ProcessPoolExecutor(max_workers=2) as pool:
+        assert pool.map(abs, range(-7, 0)) == [7, 6, 5, 4, 3, 2, 1]
+        assert pool.map(abs, []) == []
 
 
 def test_pool_worker_error_reaches_the_caller_and_leaves_no_stale_reply():
-    pool = group_action.ProcessPoolExecutor(max_workers=2)
-    with pytest.raises(ValueError) as err:
-        pool.map(int, ["1", "x", "3"])
-    assert "in a pool worker" in str(err.value.__cause__)
-    assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
+    with group_action.ProcessPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(ValueError) as err:
+            pool.map(int, ["1", "x", "3"])
+        worker = str(err.value.__cause__)  # the worker's traceback, as text
+        assert "Traceback (most recent call last)" in worker
+        assert "ValueError: invalid literal for int() with base 10: 'x'" in worker
+        assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
 
 
-def test_pool_workers_exit_once_the_parent_ends_are_closed():
-    import multiprocessing
+def _in_new_session(argv):
+    # a Python process leading a process group of its own, with src/ importable
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-W", "error", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
 
-    before = set(multiprocessing.active_children())
-    pool = group_action.ProcessPoolExecutor(max_workers=2)
-    workers = set(multiprocessing.active_children()) - before
-    assert len(workers) == 2
-    for conn in pool._conns:
-        conn.close()
-    for worker in workers:
-        worker.join(timeout=10)
-        assert worker.exitcode == 0
+
+def _assert_group_is_gone(pgid):
+    with pytest.raises(ProcessLookupError):
+        os.killpg(pgid, 0)
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="a sharded sweep runs in this process on one CPU")
+def test_a_pooled_run_leaves_no_process_behind_and_writes_no_stderr():
+    # (103, 2) is the first r = 2 sweep at the pool floor; -W error turns a
+    # pool left running at exit (a ResourceWarning) into stderr text
+    proc = _in_new_session(["-m", "menon.cli", "verify", "--n", "103..103", "--r", "2", "--shards", "2"])
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    assert err == b""
+    assert json.loads(out)["n"] == "103"
+    _assert_group_is_gone(proc.pid)
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="a sharded sweep runs in this process on one CPU")
+def test_ctrl_c_with_an_idle_pool_ends_the_run_with_one_traceback():
+    # Ctrl-C reaches the whole process group; the idle workers ignore it,
+    # so only the parent reports it, and they end with it
+    code = (
+        "import time\n"
+        "from menon.group_action import fixed_point_sum\n"
+        "fixed_point_sum(103, 2, shards=2)\n"
+        "print('pooled', flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    proc = _in_new_session(["-c", code])
+    assert proc.stdout.readline() == b"pooled\n"
+    os.killpg(proc.pid, signal.SIGINT)
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode != 0
+    assert err.count(b"Traceback") == 1, err
+    assert b"KeyboardInterrupt" in err
+    assert b"Process ForkPoolWorker-" not in err
+    _assert_group_is_gone(proc.pid)
 
 
 def test_fixed_point_sum_refuses_over_budget():
