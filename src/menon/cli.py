@@ -19,9 +19,11 @@ pool floor a sweep is one kernel call, whatever --shards is (see
 group_action.fixed_point_sum). tau and chains take no --shards; they
 refuse when r * tau(n)^2 exceeds the budget. Budget refusals are JSON
 diagnostics on stderr, never partial records. A diagnostic carries
-group_size only when the refused work enumerates the group, and neither
-group_size nor estimated_ops when r alone puts |G| over the budget, which
-is decided before either is computed. A mismatch or disagreement is
+group_size when the refused work is one of the group's own operations
+(a sweep, a direct fixed-point count, the orbit pass), none for the
+factorizing and divisor-table checks, and neither group_size nor
+estimated_ops when r alone puts |G| over the budget, which is decided
+before either is computed. A mismatch or disagreement is
 reported on stderr, its record is still written, and the run goes on.
 
 Exit codes: 0 ok, 1 mismatch (it outranks a refusal), 2 budget refusal,
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="max estimated elementary operations per call")
         if name in ("verify", "burnside", "bench"):  # the subcommands that sweep G
             p.add_argument("--shards", type=_count_arg, default=1,
-                           help="shards per sweep on min(shards, CPUs) workers; a sweep under the pool floor runs whole in-process")
+                           help="workers per sweep, at most the CPUs, one piece each; a sweep under the pool floor runs whole in-process")
         # tau defaults to bare values, one per line
         p.add_argument("--format", choices=("json", "csv"), dest="fmt",
                        default="plain" if name == "tau" else "json", help="record format")

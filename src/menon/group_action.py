@@ -18,9 +18,9 @@ to a plain tuple of the same fields.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cache
-from itertools import chain, compress, islice, product
+from itertools import compress, islice, product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -33,9 +33,11 @@ DEFAULT_BUDGET = 10**8
 class BudgetExceededError(RuntimeError):
     """Raised instead of starting an enumeration whose estimated cost is too big.
 
-    group_size is None when the refused work enumerates no group, and
-    estimated_ops and group_size are both None when a lower bound refused
-    the work before either was computed (_check_floor).
+    group_size is |G| when the refused work is one of the group's own
+    operations (a sweep, a direct fixed-point count, the orbit pass) and
+    None for the CLI's factorizing and divisor-table checks; estimated_ops
+    and group_size are both None when a lower bound refused the work
+    before either was computed (_check_floor).
     """
 
     def __init__(
@@ -54,8 +56,9 @@ class BudgetExceededError(RuntimeError):
 
 def _check_budget(op: str, n: int, r: int, estimated_ops: int, budget: int, size: int | None = None) -> None:
     """Refuse op when its estimate exceeds the budget; size is |G| when op
-    enumerates the group, else None. op is a str.format template over n
-    and r that only a refusal fills in, so an admitting check formats none."""
+    is one of the group's own operations, else None. op is a str.format
+    template over n and r that only a refusal fills in, so an admitting
+    check formats none."""
     if estimated_ops > budget:
         group = "" if size is None else f"group size {size}, "
         raise BudgetExceededError(
@@ -200,21 +203,27 @@ def group_size(n: int, r: int) -> int:
     return n ** (r * (r - 1) // 2) * euler_phi(n) ** r
 
 
-def _pools(n: int, r: int, us=None) -> list:
-    # Digit pools in significance order (matches the cells layout); us is
-    # the diagonal digits' pool: units(n), or element_at's unit indices.
-    us = units(n) if us is None else us
-    return [us] * r + [range(n)] * (r * (r - 1) // 2)
+def _pools(n: int, r: int) -> list:
+    # Digit pools in significance order (matches the cells layout).
+    return [units(n)] * r + [range(n)] * (r * (r - 1) // 2)
 
 
 def element_at(n: int, r: int, index: int) -> UpperTriangularMatrix:
-    """The index-th group element in enumeration order (0-based), decoded
-    over unit indices; _unit_residue's bisection turns each diagonal digit
-    k into the k-th unit, so no O(n) tuple of units is built."""
+    """The index-th group element in enumeration order (0-based).
+
+    index is decoded one digit at a time, least significant first, over
+    radix n for the strict digits and phi(n) for the diagonal ones;
+    _unit_residue's bisection turns each diagonal digit k into the k-th
+    unit, so no O(n) tuple of units is built."""
     size = group_size(n, r)
     if not 0 <= index < size:
         raise IndexError(f"index {index} out of range for group of size {size}")
-    cells = next(_product_from(_pools(n, r, range(euler_phi(n))), index))
+    phi = euler_phi(n)
+    cells = []
+    for radix in [n] * (r * (r - 1) // 2) + [phi] * r:
+        index, digit = divmod(index, radix)
+        cells.append(digit)
+    cells.reverse()
     primes = [p for p, _ in _factor(n)]
     diagonal = [_unit_residue(n, primes, k + 1) - 1 for k in cells[:r]]
     return UpperTriangularMatrix(n=n, r=r, cells=(*diagonal, *cells[r:]))
@@ -222,32 +231,8 @@ def element_at(n: int, r: int, index: int) -> UpperTriangularMatrix:
 
 def _iter_cells(n: int, r: int, lo: int, hi: int):
     """The cells of the elements lo..hi-1 that exist, in enumeration order,
-    as tuples. The walk starts at lo, not at element 0."""
-    return islice(_product_from(_pools(n, r), lo), max(hi - lo, 0))
-
-
-def _product_from(pools: list, first: int):
-    """product(*pools) from its index `first` on, first >= 0, without
-    walking the items before it; nothing when first is past the end.
-
-    first is decoded into one digit per pool in mixed radix. The items from
-    there on are m + 1 products in a chain: the item itself, then, for each
-    position j from the last pool back to the first, the items that keep
-    its digits before j, take a later digit at j and any digits after j.
-    Each product is built only when the chain reaches it, so a caller that
-    stops early pays for none of the rest.
-    """
-    digits = []
-    for pool in reversed(pools):
-        first, c = divmod(first, len(pool))
-        digits.append(c)
-    if first:  # a carry out of the most significant digit
-        return iter(())
-    digits.reverse()
-    head = [(pool[c],) for pool, c in zip(pools, digits)]
-    js = range(len(pools) - 1, -1, -1)
-    later = (product(*head[:j], pools[j][digits[j] + 1 :], *pools[j + 1 :]) for j in js)
-    return chain(product(*head), chain.from_iterable(later))
+    as tuples."""
+    return islice(product(*_pools(n, r)), lo, hi)
 
 
 def _admit_sweep(op: str, n: int, r: int, budget: int) -> int:
@@ -536,18 +521,19 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
       * the leads that share the diagonal of M' (a block) are contiguous,
         and within a block each distinct M' is reduced once;
       * within a block a_rr is the most significant digit left, so each
-        unit a_rr owns a contiguous sub-block of leads. A block wholly
-        inside [lo, hi) walks one sub-block per class of g_r, that of the
-        class's first unit, and adds the class's number of units times its
-        sum; the classes are listed once per call. A block cut by lo or hi
-        walks every sub-block it meets;
+        unit a_rr owns a contiguous sub-block of leads, and the sub-blocks
+        differ only in a_rr. A block wholly inside [lo, hi) walks its first
+        sub-block once per class of g_r, with that class's g_r, and adds
+        the class's number of units times its sum; the classes are counted
+        once per call. A block cut by lo or hi walks every sub-block it
+        meets;
       * a full run's sum is prod(d) times a sum fixed by g_r and the terms
         (d_i, base, sp, sq) of each row with d_i > 1, so that sum is kept
         for the call, keyed by those terms as one flat tuple, and computed
         only the first time they occur.
 
     A run clipped by a shard bound, and so every single-element call, sums
-    the orders of its span only (_run_sum). The block heads are decoded
+    the orders of its span only (_run_sum). The block heads are walked
     once per call, and the cells positions of the strict entries of M' and
     of the fixed entries of c come from _cell once per call.
 
@@ -585,9 +571,7 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     sub = n ** len(rest)  # leads per a_rr sub-block
     strict = [_cell(r, i, j) - r for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal, in rest
     fixed_at = [_cell(r, i, k) - r for i in range(k - tail)]  # c's entries in rest
-    classes: dict = {}  # g_r -> [first unit index, units]
-    for a, u in enumerate(us):
-        classes.setdefault(gcd(n, u - 1), [a, 0])[1] += 1
+    classes = Counter(gcd(n, u - 1) for u in us)  # g_r -> units
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
     terms: dict = {}  # (g_r, d_i, base, sp, sq, ...) -> a full run's sum before the factor prod(d), within the call
 
@@ -622,11 +606,11 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     span = len(us) * per  # elements per block
     first = lo // span
     total = 0
-    for start, head in zip(range(first * span, hi, span), _product_from(pools[:k], first)):
+    for start, head in zip(range(first * span, hi, span), islice(product(*pools[:k]), first, None)):
         reduced.clear()
         if lo <= start and start + span <= hi:
-            for g_r, (a, count) in classes.items():
-                total += count * walk((*head, us[a]), g_r, start + a * per, 0, sub)
+            for g_r, count in classes.items():  # a lead's sum reads g_r, not a_rr
+                total += count * walk((*head, us[0]), g_r, start, 0, sub)
             continue
         for a in range(max(lo - start, 0) // per, min(-(-(hi - start) // per), len(us))):
             s = start + a * per
@@ -680,25 +664,24 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
 
     Shards run on a shared pool of min(shards, CPUs) workers only when
     that is two workers or more and the estimate |G| * r^2 is at least
-    _POOL_MIN_OPS = 2^22. The index space is then split into min(shards,
-    grain) contiguous pieces, the grain being the kernel's phi(n)^(r-1)
-    diagonal blocks (r >= 2) or its ceil(n / _R1_WINDOW) residue windows
-    (r = 1): each piece rebuilds the kernel's per-call tables, so finer
-    pieces would only repeat that work. Each piece is a pure fold, summed
-    in shard order, so the result is identical for every shard count.
-    Otherwise the sweep is one kernel call in this process, whatever
-    shards is. The floor keeps the benchmark's sharded sweeps (n <= 60 at
-    r = 2, the largest (59, 2) at 793904) off the pool, which costs a
-    process about 28 ms to start (importing multiprocessing, forking two
-    workers; medians of 12 CLI runs of (103, 2), 2 shards against 1).
-    Where past the floor the pool starts to pay is unverified: no
-    benchmark workload runs a sharded sweep there, and the bound rests on
-    warm-pool timings only. In-process on a 2-vCPU host, inline against a
-    warm 2-shard pool, the middle of three medians of 7: (59, 2) 0.7
-    against 0.9 ms; (103, 2), the first r = 2 sweep at the floor, 0.8
-    against 1.5 ms; (151, 2) 1.1 against 1.6 ms, so at r = 2 even a warm
-    pool loses; (6, 4) 119 against 85 ms; (5, 4) 335 against 235 ms;
-    (13, 3), at 8 times the floor, 14 against 11 ms.
+    _POOL_MIN_OPS = 2^22. The index space is then split into one
+    contiguous piece per worker: each piece rebuilds the kernel's per-call
+    tables, so more pieces would only repeat that work. Each piece is a
+    pure fold, summed in piece order, so the result is identical for
+    every shard count. Otherwise the sweep is one kernel call in this
+    process, whatever shards is. The floor keeps the benchmark's sharded
+    sweeps (n <= 60 at r = 2, the largest (59, 2) at 793904) off the
+    pool, which costs a process about 28 ms to start (importing
+    multiprocessing, forking two workers; medians of 12 CLI runs of
+    (103, 2), 2 shards against 1). Where past the floor the pool starts
+    to pay is unverified: no benchmark workload runs a sharded sweep
+    there, and the bound rests on warm-pool timings only. In one process
+    on a 2-vCPU host, with the floor set to 0, inline against a warm pool
+    of 2 workers, medians of 15 calls: (59, 2) 0.34 against 0.53 ms;
+    (103, 2), the first r = 2 sweep at the floor, 0.56 against 0.77 ms;
+    (151, 2) 0.82 against 1.02 ms, so at r = 2 even a warm pool loses;
+    (13, 3), at 8 times the floor, 11.1 against 12.0 ms; (6, 4) 84
+    against 74 ms; (5, 4) 295 against 142 ms.
 
     The budget estimate is |G| * r^2, which at r = 1 is phi(n). The r = 1
     kernel scans residues, not units: n of them, and n <= 7.21 * phi(n)
@@ -707,8 +690,7 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     """
     size = _admit_sweep("group sweep(n={n}, r={r})", n, r, budget)
     if size * r * r >= _POOL_MIN_OPS and (workers := min(shards, _cpus())) > 1:
-        grain = -(-n // _R1_WINDOW) if r == 1 else euler_phi(n) ** (r - 1)
-        pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, min(shards, grain))]
+        pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, workers)]
         return sum(_pool(workers).map(_fixed_point_sum_shard, pieces))
     return _fixed_point_sum_shard((n, r, 0, size))
 

@@ -41,7 +41,6 @@ from menon.group_action import (
     _generators,
     _iter_cells,
     _pools,
-    _product_from,
     _shard_bounds,
     _unit_generators,
     _unit_residue,
@@ -238,16 +237,18 @@ def test_iter_cells_walks_the_decoded_index_range(n, r, lo, hi):
 
 @settings(max_examples=300)
 @given(r=st.integers(1, 4), data=st.data())
-def test_product_from_starts_where_islice_does(r, data):
-    # the sweep's lead pools: every digit of an element but the last one or two
+def test_element_at_and_iter_cells_decode_where_islice_does(r, data):
+    # element_at's mixed-radix decode and _iter_cells' ranges, against the
+    # product of the digit pools walked from element 0
     n = data.draw(st.integers(1, {1: 30, 2: 12, 3: 6, 4: 3}[r]))
-    pools = _pools(n, r)[: -min(r - 1, 2) or None]
-    size = prod(map(len, pools))
+    everything = list(product(*_pools(n, r)))
+    size = len(everything)
     first = data.draw(st.integers(0, size - 1))
     last = data.draw(st.integers(first, size))
-    expected = list(islice(product(*pools), first, last))
-    assert list(islice(_product_from(pools, first), last - first)) == expected
-    assert list(_product_from(pools, first)) == list(islice(product(*pools), first, None))
+    assert list(_iter_cells(n, r, first, last)) == everything[first:last]
+    assert list(_iter_cells(n, r, first, size + 1)) == everything[first:]
+    for i in {first, last - 1, (first + last) // 2} - {-1}:
+        assert element_at(n, r, i).cells == everything[i], i
 
 
 def test_element_at_decodes_units_without_listing_them():
@@ -766,9 +767,42 @@ def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
     assert len(calls) < 10 * euler_phi(103), len(calls)
 
 
+def g_r_classes(n):
+    # C(n), the number of distinct g_r = gcd(n, u - 1): u - 1 takes every
+    # p-adic valuation 0..a at an odd p^a || n, and 1..a at p = 2
+    return prod(a if p == 2 else a + 1 for p, a in factorize(n))
+
+
+def test_an_unsharded_sweep_walks_the_leads_its_classes_predict(monkeypatch):
+    # phi(n)^(r-1) blocks, each walking its first a_rr sub-block once per
+    # g_r class: n^m leads, m = (r-1)(r-2)/2 + max(r-3, 0) being the lead
+    # digits after a_rr
+    walked = []
+
+    def counted(iterable, *bounds):
+        items = islice(iterable, *bounds)
+        if bounds[-1] is None:  # the block heads, walked to the end
+            return items
+        leads = list(items)  # a lead walk, bounded by its sub-block
+        walked.append(len(leads))
+        return iter(leads)
+
+    monkeypatch.setattr(group_action, "islice", counted)
+    grid = [(n, 2) for n in range(2, 151)] + [(n, 3) for n in range(2, 21)]
+    for n, r in grid + [(n, 4) for n in range(2, 6)] + [(2, 5)]:
+        assert g_r_classes(n) == len({gcd(n, u - 1) for u in units(n)}), n
+        walked.clear()
+        size = group_size(n, r)
+        assert _fixed_point_sum_shard((n, r, 0, size)) == size * tau_r_closed(n, r), (n, r)
+        m = (r - 1) * (r - 2) // 2 + max(r - 3, 0)
+        assert sum(walked) == euler_phi(n) ** (r - 1) * g_r_classes(n) * n**m, (n, r)
+
+
 def test_shard_cuts_fall_on_block_boundaries():
     # A block cut by a shard bound walks every sub-block it meets, not one
-    # per g_r class. The benchmark's sharded sweeps cut none past n = 2:
+    # per g_r class. An in-process sweep is one uncut kernel call, so the
+    # cuts that matter are the pieces of a 2-worker pool and the tracer's
+    # replay of the benchmark's sharded sweeps. Past n = 2 none is cut:
     # at 2 shards, phi(n) is even for n >= 3, so |G| / 2 is a whole number
     # of blocks of phi(n) * n^(r(r-1)/2) elements. Beyond them, every
     # 2-shard sweep at r = 2 with n <= 150 and at r = 3 with n <= 24.
@@ -1028,9 +1062,9 @@ def test_r1_shards_agree_with_the_gcd_oracle():
             assert sum(_fixed_point_sum_shard((n, 1, lo, hi)) for lo, hi in pieces) == expected, (n, s)
 
 
-def test_more_shards_than_blocks_map_one_piece_per_block(fake_pools, monkeypatch):
-    # each piece rebuilds the kernel's per-call tables, so a sweep maps no
-    # more pieces than its phi(n)^(r-1) diagonal blocks, whatever shards is
+def test_a_pooled_sweep_maps_one_piece_per_worker(fake_pools, monkeypatch):
+    # each piece rebuilds the kernel's per-call tables, so a sweep maps one
+    # piece per worker, whatever shards is
     pieces = []
 
     def counted(args):
@@ -1041,7 +1075,7 @@ def test_more_shards_than_blocks_map_one_piece_per_block(fake_pools, monkeypatch
     for n, shards in ((5, 10**5), (103, 10**6)):
         pieces.clear()
         assert fixed_point_sum(n, 2, shards=shards) == _fixed_point_sum_shard((n, 2, 0, group_size(n, 2)))
-        assert len(pieces) == euler_phi(n), n
+        assert len(pieces) == 4, n
     assert fake_pools == [4]
 
 
@@ -1180,13 +1214,13 @@ def test_lower_bound_refuses_nothing_the_estimate_admits():
 
 
 def test_sweep_of_a_trivial_group_builds_only_the_lead_it_reads():
-    # the items after the first were once built eagerly, m + 1 products of
-    # the m = r(r+1)/2 pools of G(1, r), about 1 GB here
-    pools = _pools(1, 100)
+    # the items after the first are never built: m + 1 eager products of
+    # the m = r(r+1)/2 pools of G(1, r) would take about 1 GB here
     gc.collect()
     tracemalloc.start()
     try:
-        assert next(_product_from(pools, 0)) == (0,) * len(pools)
+        assert next(_iter_cells(1, 100, 0, 1)) == (0,) * 5050
+        assert element_at(1, 100, 0).cells == (0,) * 5050
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
