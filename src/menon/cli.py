@@ -64,6 +64,7 @@ EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE: a bug, never a verdict on the identi
 EXIT_IOERR = 74  # sysexits EX_IOERR: the record stream is incomplete
 
 VERIFY_FIELDS = ("n", "r", "lhs", "rhs", "group_size", "matched", "elapsed_s", "shards")
+# unionfind_count is the block count of the explicit orbit partition, orbits_brute_force
 BURNSIDE_FIELDS = ("n", "r", "burnside_count", "unionfind_count", "chain_count", "tau_r", "agree")
 CHAINS_FIELDS = ("n", "r", "chain_count", "tau_r", "agree")
 TAU_FIELDS = ("n", "r", "tau_r")

@@ -1,8 +1,8 @@
 """The group of invertible upper-triangular r x r matrices over Z_n, its
 action on the column space Z_n^r, direct fixed-point counting, the
 fixed-point sweep and its elimination routine, Burnside orbit counting,
-orbit partitioning by union-find over a generating set, and the
-divisor-chain orbit invariant.
+orbit partitioning by the breadth-first orbit algorithm over a generating
+set, and the divisor-chain orbit invariant.
 
 Enumeration order is fixed and documented: the diagonal entries run over
 the units of Z_n ascending, most significant first, followed by the strict
@@ -745,16 +745,18 @@ def _generators(n: int, r: int) -> list[UpperTriangularMatrix]:
 
 
 def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[int, ...], ...]]:
-    """Partition Z_n^r into orbits by union-find over (g, x) pairs, with g
-    running over a generating set of the group.
+    """Partition Z_n^r into orbits by the standard orbit algorithm (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 4.1): from
+    each vector not yet seen, walking Z_n^r in ascending order, grow its
+    orbit breadth-first under a generating set of the group.
 
-    A partition is closed under the group exactly when it is closed under
-    a generating set, so one pass over Z_n^r per generator suffices (the
-    standard orbit algorithm; Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, 4.1). Deliberately independent of the
-    divisor-chain invariant and of the gcd-tower formula: the only
-    ingredients are the raw group action and a disjoint-set forest. Blocks
-    are returned lexicographically sorted.
+    A set is closed under the group exactly when it is closed under a
+    generating set, so each vector meets each generator once. Deliberately
+    independent of the divisor-chain invariant and of the gcd-tower
+    formula: the only ingredients are the raw group action and a
+    breadth-first walk. Each orbit starts from its least vector and those
+    come in ascending order, so the blocks, each sorted, are returned
+    lexicographically sorted.
     """
     op = "orbits_brute_force(n={n}, r={r})"
     _check_floor(op, n, r, r, budget)  # n^r >= 2^r
@@ -765,39 +767,30 @@ def orbits_brute_force(n: int, r: int, budget: int = DEFAULT_BUDGET) -> list[tup
     # len(_generators(n, r)), counted before any generator is built
     count = r * len(_unit_generators(n)) + r * (r - 1) // 2
     _check_budget(op, n, r, count * space * r * r, budget, size)
-    gens = _generators(n, r)
-
-    parent = list(range(space))
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+    gens = [g.rows() for g in _generators(n, r)]
 
     vectors = list(product(range(n), repeat=r))
-    for g in gens:
-        rows = g.rows()
-        for xi, x in enumerate(vectors):
-            yi = 0
-            for i in range(r):
-                s = 0
-                row = rows[i]
-                for j in range(i, r):
-                    s += row[j] * x[j]
-                yi = yi * n + s % n
-            ra, rb = find(xi), find(yi)
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-    blocks: dict[int, list[tuple[int, ...]]] = {}
-    for xi, x in enumerate(vectors):
-        blocks.setdefault(find(xi), []).append(x)
-    return sorted(tuple(sorted(b)) for b in blocks.values())
+    seen = bytearray(space)
+    blocks = []
+    for start, least in enumerate(vectors):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [least]
+        for x in orbit:  # the list grows as the walk reaches new vectors
+            for rows in gens:
+                yi = 0
+                for i in range(r):
+                    s = 0
+                    row = rows[i]
+                    for j in range(i, r):
+                        s += row[j] * x[j]
+                    yi = yi * n + s % n
+                if not seen[yi]:
+                    seen[yi] = 1
+                    orbit.append(vectors[yi])
+        blocks.append(tuple(sorted(orbit)))
+    return blocks
 
 
 def divisor_chain(x: ResidueVector) -> DivisorChain:

@@ -3,8 +3,8 @@
 Every check is exact (tolerance zero); run with -s to see the lines.
 All sweeps run against the configured work budget; the orbit-partition
 grids are capped per dimension so the Burnside sweep over every group
-element finishes in CI time (the union-find pass unions over a generating
-set, a few passes over Z_n^r per pair).
+element finishes in CI time (the orbit pass grows each orbit
+breadth-first under a generating set, a few generator images per vector).
 """
 
 import json

@@ -236,6 +236,16 @@ def test_burnside_record(capsys):
     assert rec["agree"] is True
 
 
+def test_burnside_disagreement_exits_1(capsys, monkeypatch):
+    # the four orbit counts agree on real inputs (a theorem), so fake tau_r
+    # to pin the exit code and the report of a disagreement
+    monkeypatch.setattr(cli, "tau_r_recursive", lambda n, r: 3)
+    code, out, err = run_cli(capsys, "burnside", "--n", "5..5", "--r", "1")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["agree"] is False
+    assert "orbit-count disagreement at n=5" in err
+
+
 def test_burnside_degenerate_modulus(capsys):
     code, out, _ = run_cli(capsys, "burnside", "--n", "1..1", "--r", "3")
     rec = json.loads(out)

@@ -295,6 +295,11 @@ def test_matrix_validation():
         UpperTriangularMatrix(n=4, r=2, cells=(1, 1))  # wrong cell count
     with pytest.raises(ValueError):
         mat(4, [[1, 0], [2, 1]])  # nonzero below diagonal
+    with pytest.raises(ValueError, match="square"):
+        mat(4, [[1, 0], [1]])  # a short row
+    for n, r, cells in [(0, 1, (1,)), (4, 0, ())]:
+        with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
+            UpperTriangularMatrix(n=n, r=r, cells=cells)
 
 
 def test_matrix_entry_and_rows_roundtrip():
@@ -319,6 +324,8 @@ def test_vector_validation():
         ResidueVector(n=3, r=2, coords=(0, 3))
     with pytest.raises(ValueError):
         ResidueVector(n=3, r=2, coords=(0,))
+    with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
+        ResidueVector(n=0, r=1, coords=(0,))
 
 
 def test_divisor_chain_invariant_enforced():
@@ -327,6 +334,8 @@ def test_divisor_chain_invariant_enforced():
         DivisorChain(n=12, r=2, values=(5, 1))
     with pytest.raises(ValueError):
         DivisorChain(n=12, r=2, values=(2, 8))  # 8 does not divide 12/2
+    with pytest.raises(ValueError, match="expected 2 chain values"):
+        DivisorChain(n=12, r=2, values=(2, 6, 1))
     for n, r, values in [(0, 1, (5,)), (-12, 1, (1,)), (12, 0, ())]:
         with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
             DivisorChain(n=n, r=r, values=values)
@@ -934,6 +943,11 @@ def test_count_chains_values(n, r, expected):
     assert count_chains(n, r) == expected
 
 
+def test_count_chains_validation():
+    with pytest.raises(ValueError, match="need n >= 1 and r >= 1"):
+        count_chains(0, 2)
+
+
 @given(n=st.integers(1, 200), r=st.integers(1, 4))
 def test_count_chains_matches_tau_r(n, r):
     assert count_chains(n, r) == tau_r_recursive(n, r)
@@ -1273,6 +1287,8 @@ def test_sweep_reads_units_through_the_module_name(monkeypatch):
 def test_units_ascending_and_degenerate():
     assert units(1) == (0,)
     assert units(12) == (1, 5, 7, 11)
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        units(0)
     # the sieve against the gcd scan, the slow oracle
     for n in range(1, 2001):
         assert units(n) == tuple(a for a in range(n) if gcd(n, a) == 1), n
