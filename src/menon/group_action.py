@@ -515,25 +515,37 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
 
     A run's sum depends on its lead only through M', the fixed entries of
     c and g_r, not through a_rr itself (the substitution step in Sury's
-    Burnside proof of Menon's identity). So a block's sum is a sum over the
-    classes of g_r, and two tables serve the walk:
+    Burnside proof of Menon's identity). The same holds for every diagonal
+    entry over a whole block: for a diagonal unit matrix W, ker W(A - I) =
+    ker(A - I), and two units whose a - 1 share gcd(n, a - 1) differ in
+    a - 1 by a unit factor w, while w a_ij runs over Z_n as a_ij does. So
+    the sum over a block's strict entries depends on its diagonal only
+    through the classes gcd(n, a_ii - 1), and these tables serve the walk:
 
       * the leads that share the diagonal of M' (a block) are contiguous,
         and within a block each distinct M' is reduced once;
+      * a block wholly inside [lo, hi) is not walked when the head loop
+        meets it: it is counted under the tuple of its head's classes,
+        and the first head with that tuple is kept with its start. After
+        the loop each kept head is walked once, and its sum is weighted by
+        the number of blocks that share its tuple;
       * within a block a_rr is the most significant digit left, so each
         unit a_rr owns a contiguous sub-block of leads, and the sub-blocks
-        differ only in a_rr. A block wholly inside [lo, hi) walks its first
-        sub-block once per class of g_r, with that class's g_r, and adds
-        the class's number of units times its sum; the classes are counted
-        once per call. A block cut by lo or hi walks every sub-block it
-        meets;
+        differ only in a_rr. A kept head walks its first sub-block once per
+        class of g_r, with that class's g_r, and adds the class's number of
+        units times its sum. A block cut by lo or hi walks every sub-block
+        it meets. Each unit's class is one gcd, taken once per call into a
+        table that gives both the head classes and the count of units per
+        g_r class;
       * a full run's sum is prod(d) times a sum fixed by g_r and the terms
         (d_i, base, sp, sq) of each row with d_i > 1, so that sum is kept
         for the call, keyed by those terms as one flat tuple, and computed
         only the first time they occur.
 
     A run clipped by a shard bound, and so every single-element call, sums
-    the orders of its span only (_run_sum). The block heads are walked
+    the orders of its span only (_run_sum). An uncut sweep with C(n)
+    classes of g walks C(n)^r * n^m leads, m = (r-1)(r-2)/2 + max(r-3, 0)
+    being the lead digits after a_rr. The block heads are walked
     once per call, and the cells positions of the strict entries of M' and
     of the fixed entries of c come from _cell once per call.
 
@@ -571,7 +583,8 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     sub = n ** len(rest)  # leads per a_rr sub-block
     strict = [_cell(r, i, j) - r for i in range(k) for j in range(i + 1, k)]  # M' above its diagonal, in rest
     fixed_at = [_cell(r, i, k) - r for i in range(k - tail)]  # c's entries in rest
-    classes = Counter(gcd(n, u - 1) for u in us)  # g_r -> units
+    gs = [gcd(n, u - 1) for u in us]  # gcd(n, u - 1) of each unit, in pool order
+    classes = Counter(gs)  # g_r -> units
     reduced: dict = {}  # strict entries of M' -> (d, U), within the block
     terms: dict = {}  # (g_r, d_i, base, sp, sq, ...) -> a full run's sum before the factor prod(d), within the call
 
@@ -605,17 +618,26 @@ def _fixed_point_sum_shard(args: tuple[int, int, int, int]) -> int:
     per = sub * run  # elements per sub-block
     span = len(us) * per  # elements per block
     first = lo // span
+    heads = zip(
+        range(first * span, hi, span),
+        islice(product(*pools[:k]), first, None),
+        islice(product(gs, repeat=k), first, None),  # each head's classes
+    )
+    whole: dict = {}  # a whole block's head classes -> [blocks, first head, its start]
     total = 0
-    for start, head in zip(range(first * span, hi, span), islice(product(*pools[:k]), first, None)):
-        reduced.clear()
+    for start, head, key in heads:
         if lo <= start and start + span <= hi:
-            for g_r, count in classes.items():  # a lead's sum reads g_r, not a_rr
-                total += count * walk((*head, us[0]), g_r, start, 0, sub)
+            whole.setdefault(key, [0, head, start])[0] += 1
             continue
+        reduced.clear()
         for a in range(max(lo - start, 0) // per, min(-(-(hi - start) // per), len(us))):
             s = start + a * per
             j, stop = max(lo - s, 0) // run, min(-(-(hi - s) // run), sub)
-            total += walk((*head, us[a]), gcd(n, us[a] - 1), s, j, stop)
+            total += walk((*head, us[a]), gs[a], s, j, stop)
+    for blocks, head, start in whole.values():
+        reduced.clear()
+        for g_r, count in classes.items():  # a lead's sum reads g_r, not a_rr
+            total += blocks * count * walk((*head, us[0]), g_r, start, 0, sub)
     return total
 
 
@@ -676,12 +698,12 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     (103, 2), 2 shards against 1). Where past the floor the pool starts
     to pay is unverified: no benchmark workload runs a sharded sweep
     there, and the bound rests on warm-pool timings only. In one process
-    on a 2-vCPU host, with the floor set to 0, inline against a warm pool
-    of 2 workers, medians of 15 calls: (59, 2) 0.34 against 0.53 ms;
-    (103, 2), the first r = 2 sweep at the floor, 0.56 against 0.77 ms;
-    (151, 2) 0.82 against 1.02 ms, so at r = 2 even a warm pool loses;
-    (13, 3), at 8 times the floor, 11.1 against 12.0 ms; (6, 4) 84
-    against 74 ms; (5, 4) 295 against 142 ms.
+    on a shared 2-vCPU host, with the floor set to 0, inline against a
+    warm pool of 2 workers, the middle of three medians of 15 calls:
+    (59, 2) 0.13 against 0.78 ms; (103, 2), the first r = 2 sweep at the
+    floor, 0.17 against 0.74 ms; (151, 2) 0.21 against 0.85 ms, so at
+    r = 2 even a warm pool loses; (13, 3), at 8 times the floor, 1.2
+    against 3.0 ms; (6, 4) 151 against 100 ms; (5, 4) 66 against 70 ms.
 
     The budget estimate is |G| * r^2, which at r = 1 is phi(n). The r = 1
     kernel scans residues, not units: n of them, and n <= 7.21 * phi(n)

@@ -112,7 +112,7 @@ def test_criterion_3_r3_identity():
 
 def test_criterion_4_burnside_three_way_agreement():
     pairs = orbit_grid()
-    with criterion(4, f"Burnside = union-find = chains = tau_r on {len(pairs)} (n, r) pairs"):
+    with criterion(4, f"Burnside = orbit pass = chains = tau_r on {len(pairs)} (n, r) pairs"):
         assert (2, 2) in pairs
         assert grid_blocks(2, 2) == [((0, 0),), ((0, 1), (1, 1)), ((1, 0),)]
         for n, r in pairs:

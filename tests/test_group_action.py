@@ -747,6 +747,26 @@ def test_sweep_splits_at_every_class_boundary(n, r, hi):
                 assert sweep(n, r, lo_w, cut) + sweep(n, r, cut, hi_w) == whole, (c, cut)
 
 
+def g_r_classes(n):
+    # C(n), the number of distinct g_r = gcd(n, u - 1): u - 1 takes every
+    # p-adic valuation 0..a at an odd p^a || n, and 1..a at p = 2
+    return prod(a if p == 2 else a + 1 for p, a in factorize(n))
+
+
+# Each n has fewer g classes than units, C(n) < phi(n), so whole blocks
+# share a class tuple and are weighted by their count.
+@pytest.mark.parametrize("n, r", [(7, 3), (8, 3), (9, 3), (16, 2), (103, 2), (5, 4)])
+def test_block_weighting_equals_walking_every_block(n, r):
+    # A call over one diagonal block holds that block alone, so it walks
+    # its own diagonal with weight 1; the one-call sweep walks one block
+    # per tuple of g classes and weights it by the blocks sharing it.
+    block = euler_phi(n) * n ** (r * (r - 1) // 2)
+    size = group_size(n, r)
+    assert g_r_classes(n) < euler_phi(n)
+    each = sum(sweep(n, r, b, b + block) for b in range(0, size, block))
+    assert each == sweep(n, r, 0, size) == size * tau_r_closed(n, r)
+
+
 @pytest.mark.parametrize("n, r", [(9, 2), (9, 3), (4, 4)])
 def test_each_distinct_leading_block_is_reduced_once(n, r, monkeypatch):
     calls = []
@@ -757,8 +777,11 @@ def test_each_distinct_leading_block_is_reduced_once(n, r, monkeypatch):
 
     monkeypatch.setattr(group_action, "_cokernel", counted)
     fixed_point_sum(n, r)
-    k = r - 1  # phi(n)^k diagonal blocks, n^(k(k-1)/2) strict entries of M'
-    assert len(calls) == len(units(n)) ** k * n ** (k * (k - 1) // 2)
+    # one block per tuple of g classes on the diagonal of M': C(n)^k of
+    # them, each reducing its n^(k(k-1)/2) strict entries of M'; (9, 2)
+    # reduces 3 blocks, not its 6
+    k = r - 1
+    assert len(calls) == g_r_classes(n) ** k * n ** (k * (k - 1) // 2)
 
 
 def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
@@ -776,15 +799,10 @@ def test_r2_sweep_takes_fewer_than_ten_gcds_per_unit(monkeypatch):
     assert len(calls) < 10 * euler_phi(103), len(calls)
 
 
-def g_r_classes(n):
-    # C(n), the number of distinct g_r = gcd(n, u - 1): u - 1 takes every
-    # p-adic valuation 0..a at an odd p^a || n, and 1..a at p = 2
-    return prod(a if p == 2 else a + 1 for p, a in factorize(n))
-
-
 def test_an_unsharded_sweep_walks_the_leads_its_classes_predict(monkeypatch):
-    # phi(n)^(r-1) blocks, each walking its first a_rr sub-block once per
-    # g_r class: n^m leads, m = (r-1)(r-2)/2 + max(r-3, 0) being the lead
+    # one block per tuple of g classes on the diagonal of M', C(n)^(r-1)
+    # of them, each walking its first a_rr sub-block once per g_r class:
+    # C(n)^r * n^m leads, m = (r-1)(r-2)/2 + max(r-3, 0) being the lead
     # digits after a_rr
     walked = []
 
@@ -804,7 +822,7 @@ def test_an_unsharded_sweep_walks_the_leads_its_classes_predict(monkeypatch):
         size = group_size(n, r)
         assert _fixed_point_sum_shard((n, r, 0, size)) == size * tau_r_closed(n, r), (n, r)
         m = (r - 1) * (r - 2) // 2 + max(r - 3, 0)
-        assert sum(walked) == euler_phi(n) ** (r - 1) * g_r_classes(n) * n**m, (n, r)
+        assert sum(walked) == g_r_classes(n) ** r * n**m, (n, r)
 
 
 def test_shard_cuts_fall_on_block_boundaries():
@@ -835,6 +853,13 @@ def test_r2_identity_holds_past_the_acceptance_domain():
     # a_rr pool up to 150 meets the closed form here
     for n in range(1, 151):
         assert fixed_point_sum(n, 2) == group_size(n, 2) * tau_r_closed(n, 2), n
+
+
+def test_r3_identity_holds_past_the_acceptance_domain():
+    # the acceptance grid stops at n = 20 for r = 3; (37, 3), the largest
+    # group here, estimates 2.1e10 sweep operations
+    for n in range(1, 41):
+        assert fixed_point_sum(n, 3, budget=3 * 10**10) == group_size(n, 3) * tau_r_closed(n, 3), n
 
 
 # --- Burnside, orbits, chains ----------------------------------------------------------
