@@ -76,11 +76,15 @@ def parse_range(text: str) -> tuple[int, int]:
 
     b may not exceed FACTORIZE_MAX, the largest modulus factorize accepts.
     """
+    bad = ValueError(f"bad range {text!r}: need 1 <= a <= b <= {FACTORIZE_MAX}")
     lo_text, sep, hi_text = text.partition("..")
-    lo = int(lo_text)
-    hi = int(hi_text) if sep else lo
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
+    except ValueError:
+        raise bad from None
     if lo < 1 or hi < lo or hi > FACTORIZE_MAX:
-        raise ValueError(f"bad range {text!r}: need 1 <= a <= b <= {FACTORIZE_MAX}")
+        raise bad
     return lo, hi
 
 

@@ -328,10 +328,20 @@ def _leading_block(n: int, r: int, cells, k: int) -> list[list[int]]:
     return block
 
 
-def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Cyclic decomposition of Z_n^k / (mat Z_n^k). Consumes mat.
+def _bezout(b: int, a: int) -> tuple[int, int, int, int]:
+    # (x, y, a/g, b/g) with x a + y b = g = gcd(a, b), for a > 0, by one
+    # Euclid on (b, a): (x, y) = (1, 0) when a | b, and g < a otherwise
+    g, x, y, s, x1, y1 = b, 0, 1, a, 1, 0
+    while s:
+        q = g // s
+        g, x, y, s, x1, y1 = s, x1, y1, g - q * s, x - q * x1, y - q * y1
+    return x, y, a // g, b // g
 
-    Integer row/column elimination (unimodular operations) brings mat to
+
+def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Cyclic decomposition of Z_n^k / (mat Z_n^k), for any k x k mat.
+
+    Unimodular row and column operations bring mat, over Z_n, to a
     diagonal form D = U mat V, with the row operations tracked in U. Then
     the cokernel is the direct sum of Z/d_i with d_i = gcd(n, D_ii), so:
 
@@ -341,75 +351,53 @@ def _cokernel(n: int, mat: list[list[int]]) -> tuple[list[int], list[list[int]]]
 
     U is returned reduced mod n, which every d_i divides.
 
-    A 1 x 1 block [[a]] (every r = 2 M') gives d = [gcd(n, a)], U = [[1]].
-    A 2 x 2 block [[a, b], [0, c]] (every M' of an r = 3 sweep, and the
-    k = 2 blocks of compute_dk) is reduced mod n, with a = 0 read as n, by
-    alternate extended-gcd steps. A column step takes
-    x a + y b = g from the top row and multiplies by [[x, -b/g], [y, a/g]]:
-    the top row becomes (g, 0) and the bottom row (c y, c a/g). A row step
-    does the same to the first column by the transposed matrix, mirrored in
-    U. Each step needs the off-diagonal entry it does not clear to be 0,
-    which holds from the start only when the lower-left entry is, so that
-    shape alone takes this route. Euclid runs on (b, a), so a | b gives
-    (x, y) = (1, 0), a plain subtraction that ends the loop; any other step
-    leaves g < a. A step that leaves an off-diagonal entry without
-    shrinking a raises, so a broken step fails instead of looping.
+    Entries are kept reduced mod n, and a pivot is read with 0 as n: the
+    two are one residue, and n keeps Euclid's a > 0, so a zero pivot still
+    takes steps and its factor is gcd(n, n) = n. For each t a round is a
+    pass of column steps, which clears row t right of the pivot, then a
+    pass of row steps, mirrored in U, which clears column t below it. A
+    step on the pivot a and an entry b takes x a + y b = g = gcd(a, b) from
+    one Euclid on (b, a): a column step multiplies columns t and j by
+    [[x, -b/g], [y, a/g]], taking row t's pair to (g, 0), and a row step
+    multiplies rows t and i by the transpose [[x, y], [-b/g, a/g]], taking
+    column t's pair to (g, 0). Both have determinant 1. A row step with
+    y != 0 refills row t, so the rounds repeat until row t is clear; column
+    t below stays clear, since each row step touches only rows t and i.
 
-    Every other block (k >= 3, or a nonzero lower-left entry) takes one
-    smallest-pivot loop: each pass for t swaps the nonzero entry p of
-    least absolute value in rows and columns t.. to (t, t), then subtracts
-    floor(a / p) times row t from each row below and column t from each
-    column to its right. Row operations are mirrored in U; column ones need
-    no record. If column t below and row t to the right are now clear, p is
-    the t-th diagonal entry. Otherwise what is left there are remainders
-    smaller than |p|, so the next pass pivots on a smaller entry; |p| only
-    falls, so the passes for one t end. Once rows and columns t.. are all
-    zero, each remaining factor is Z/n.
+    Euclid runs on (b, a) so that a | b gives (x, y) = (1, 0), a plain
+    subtraction that leaves the pivot's own row and column alone. Any
+    Bezout pair would clear the entry, but not every one ends the rounds:
+    mod 2, on [[1, 1], [0, 1]], the pair (0, 1) for (1, 1) turns the block
+    into [[1, 0], [1, 1]] by a column step and back by a row step, forever.
+    With (1, 0) a round whose steps are all subtractions ends the pivot,
+    and any other step shrinks it to a proper divisor g of a, which a
+    pivot of at most n can do only finitely often. A round that leaves
+    row t uncleared without shrinking the pivot raises, so a broken step
+    fails instead of looping.
     """
     k = len(mat)
-    if k == 1:
-        return [gcd(n, mat[0][0])], [[1 % n]]
-    if k == 2 and not mat[1][0] % n:
-        (a, b), (_, c) = mat
-        a, b, c = a % n or n, b % n, c % n
-        u, v, w, z, on_rows = 1, 0, 0, 1, False  # U = [[u, v], [w, z]]
-        while b:
-            g, x, y, s, x1, y1 = b, 0, 1, a, 1, 0
-            while s:
-                q = g // s
-                g, x, y, s, x1, y1 = s, x1, y1, g - q * s, x - q * x1, y - q * y1
-            if on_rows:
-                u, v, w, z = x * u + y * w, x * v + y * z, (a * w - b * u) // g, (a * z - b * v) // g
-            a, b, c, on_rows, last = g, c * y % n, c * (a // g) % n, not on_rows, a
-            if b and a >= last:
-                raise AssertionError(f"2 x 2 reduction stalled at {a} mod {n}")
-        return [gcd(n, a), gcd(n, c)], [[u % n, v % n], [w % n, z % n]]
-    U = [[int(i == j) for j in range(k)] for i in range(k)]
-    d = []
-    t = 0
-    while t < k:
-        entries = [(abs(v), i, j) for i in range(t, k) for j, v in enumerate(mat[i][t:], t) if v]
-        if not entries:
-            d += [n] * (k - t)
-            break
-        _, pi, pj = min(entries)
-        mat[t], mat[pi] = mat[pi], mat[t]
-        U[t], U[pi] = U[pi], U[t]
-        for row in mat[t:]:
-            row[t], row[pj] = row[pj], row[t]
-        top, p = mat[t], mat[t][t]
-        for i in range(t + 1, k):
-            if q := mat[i][t] // p:
-                mat[i] = [a - q * b for a, b in zip(mat[i], top)]
-                U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-        for j in range(t + 1, k):
-            if q := top[j] // p:
-                for row in mat[t:]:
-                    row[j] -= q * row[t]
-        if not any(top[t + 1 :]) and not any(row[t] for row in mat[t + 1 :]):
-            d.append(gcd(n, p))
-            t += 1
-    return d, [[u % n for u in row] for row in U]
+    mat = [[v % n for v in row] for row in mat]
+    U = [[1 % n if i == j else 0 for j in range(k)] for i in range(k)]
+    for t in range(k):
+        pivot_row = mat[t]
+        while True:
+            last = pivot_row[t] or n
+            for j in range(t + 1, k):
+                if b := pivot_row[j]:
+                    x, y, p, q = _bezout(b, pivot_row[t] or n)
+                    for row in mat[t:]:
+                        row[t], row[j] = (x * row[t] + y * row[j]) % n, (p * row[j] - q * row[t]) % n
+            for i in range(t + 1, k):
+                if b := mat[i][t]:
+                    x, y, p, q = _bezout(b, pivot_row[t] or n)
+                    for top, row in ((pivot_row, mat[i]), (U[t], U[i])):
+                        for j in range(k):
+                            top[j], row[j] = (x * top[j] + y * row[j]) % n, (p * row[j] - q * top[j]) % n
+            if not any(pivot_row[t + 1 :]):
+                break
+            if (pivot_row[t] or n) >= last:
+                raise AssertionError(f"elimination stalled at pivot {last} mod {n}")
+    return [gcd(n, row[t]) for t, row in enumerate(mat)], U
 
 
 # Residues per window of the r = 1 sweep. Each window costs one Python-level
@@ -700,16 +688,19 @@ def fixed_point_sum(n: int, r: int, budget: int = DEFAULT_BUDGET, shards: int = 
     there, and the bound rests on warm-pool timings only. In one process
     on a shared 2-vCPU host, with the floor set to 0, inline against a
     warm pool of 2 workers, the middle of three medians of 15 calls:
-    (59, 2) 0.13 against 0.78 ms; (103, 2), the first r = 2 sweep at the
-    floor, 0.17 against 0.74 ms; (151, 2) 0.21 against 0.85 ms, so at
-    r = 2 even a warm pool loses; (13, 3), at 8 times the floor, 1.2
-    against 3.0 ms; (6, 4) 151 against 100 ms; (5, 4) 66 against 70 ms.
+    (59, 2) 0.12 against 0.74 ms; (103, 2), the first r = 2 sweep at the
+    floor, 0.16 against 0.71 ms; (151, 2) 0.21 against 0.83 ms, so at
+    r = 2 even a warm pool loses; (13, 3), at 8 times the floor, 2.0
+    against 2.6 ms; (6, 4) 90 against 77 ms; (5, 4) 34 against 50 ms (a
+    second run: (6, 4) 86 against 53 ms, (5, 4) 35 against 37 ms).
 
     The budget estimate is |G| * r^2, which at r = 1 is phi(n). The r = 1
     kernel scans residues, not units: n of them, and n <= 7.21 * phi(n)
     for every n <= 2^63 - 1 (n / phi(n) is largest at the primorial
     614889782588491410, where it is 7.2096).
     """
+    if shards < 1:  # checked here: an in-process sweep never reaches _shard_bounds
+        raise ValueError(f"shards must be >= 1, got {shards}")
     size = _admit_sweep("group sweep(n={n}, r={r})", n, r, budget)
     if size * r * r >= _POOL_MIN_OPS and (workers := min(shards, _cpus())) > 1:
         pieces = [(n, r, lo, hi) for lo, hi in _shard_bounds(size, workers)]

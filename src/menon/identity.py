@@ -24,7 +24,7 @@ from .group_action import UpperTriangularMatrix, _cokernel, _leading_block
 
 
 def _solution_count(n: int, mat: list[list[int]]) -> int:
-    """Number of x in Z_n^k with mat @ x = 0 (mod n). Consumes mat.
+    """Number of x in Z_n^k with mat @ x = 0 (mod n).
 
     The kernel of an endomorphism of a finite group has the size of its
     cokernel, the product of the cyclic factors found by _cokernel.

@@ -103,8 +103,11 @@ BAD_RANGE = f"need 1 <= a <= b <= {FACTORIZE_MAX}"
          f"argument --budget: must be <= {FACTORIZE_MAX}"),
         (["verify", "--n", "5", "--r", str(FACTORIZE_MAX + 1)], "argument --r: must be <="),
         (["verify", "--n", "5", "--r", "2", "--shards", str(2**64)], "argument --shards: must be <="),
+        # a bound that is not an integer gets the same message as any bad range
+        (["verify", "--n", "1..", "--r", "2"], BAD_RANGE),
+        (["verify", "--n", "a..b", "--r", "2"], BAD_RANGE),
     ],
-    ids=[f"argv{i}" for i in range(17)],
+    ids=[f"argv{i}" for i in range(19)],
 )
 def test_usage_errors_exit_64(capsys, argv, reason):
     code, _, err = run_cli(capsys, *argv)

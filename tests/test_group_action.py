@@ -468,8 +468,8 @@ def check_cokernel(n, rows, d, U):
 def test_cokernel_matches_brute_force_on_arbitrary_matrices(k, data):
     # k = 0 is the empty block that compute_dk reduces, k = 4 the leading
     # block of an r = 5 sweep; entries past +-n leave remainders, so a
-    # pivot can take several passes. Upper-triangular draws send k = 2 to
-    # the extended-gcd route, whose Euclid steps take several rounds there
+    # pivot can take several rounds. Half the draws are upper-triangular,
+    # the shape of every sweep's M'
     n = data.draw(st.integers(1, 5 if k == 4 else 8))
     rows = [[data.draw(st.integers(-3 * n, 3 * n)) for _ in range(k)] for _ in range(k)]
     if data.draw(st.booleans()):
@@ -478,22 +478,30 @@ def test_cokernel_matches_brute_force_on_arbitrary_matrices(k, data):
 
 
 def test_cokernel_meets_its_contract_on_every_small_triangular_block():
-    # every [[a, b], [0, c]] mod n <= 8, the extended-gcd route; entries in
-    # [-n, 2n), so negative entries and entries of n or more reach it too
+    # every [[a, b], [0, c]] mod n <= 8, the M' of every r = 3 sweep; entries
+    # in [-n, 2n), so negative entries and entries of n or more reach it too
     for n in range(1, 9):
         for a, b, c in product(range(-n, 2 * n), repeat=3):
             assert_cokernel_contract(n, [[a, b], [0, c]])
 
 
 def test_cokernel_meets_its_contract_on_every_small_2x2_block():
-    # a nonzero lower-left entry must keep the general loop
+    # every 2 x 2 block mod n <= 5, a nonzero lower-left entry included
     for n in range(1, 6):
         for a, b, e, c in product(range(n), repeat=4):
             assert_cokernel_contract(n, [[a, b], [e, c]])
 
 
+def test_cokernel_meets_its_contract_on_every_small_triangular_3x3_block():
+    # every upper-triangular 3 x 3 block mod n <= 3, the M' of every r = 4
+    # sweep, which the hypothesis test above only samples
+    for n in range(1, 4):
+        for a, b, c, e, f, h in product(range(n), repeat=6):
+            assert_cokernel_contract(n, [[a, b, c], [0, e, f], [0, 0, h]])
+
+
 def test_cokernel_meets_its_contract_on_every_1x1_block():
-    # every [[a]] mod n <= 30, the route of every r = 2 M'; a = 0 and
+    # every [[a]] mod n <= 30, the M' of every r = 2 sweep; a = 0 and
     # a = n give Z/n, negative a its residue's factor
     for n in range(1, 31):
         for a in range(-n, 2 * n):
@@ -1018,6 +1026,16 @@ def test_shard_bounds_partition_evenly():
     assert _shard_bounds(2, 5)[-1] == (2, 2)  # empty tail shards are fine
     with pytest.raises(ValueError):
         _shard_bounds(10, 0)
+
+
+def test_a_sweep_refuses_fewer_than_one_shard():
+    # an in-process sweep never builds shard bounds, so the count is checked
+    # up front, for every sweep
+    for shards in (0, -3):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            fixed_point_sum(5, 2, shards=shards)
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            orbit_count_burnside(5, 2, shards=shards)
 
 
 def test_fixed_point_sum_is_shard_invariant():
