@@ -38,6 +38,7 @@ leaves unwritten get the 74 line, but the exit code stays 70.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -375,6 +376,13 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # Everything imported by now lives until exit: freeze it into the
+    # permanent generation, so neither a run's full collections nor the
+    # interpreter's shutdown collections walk or free it. Pool workers are
+    # forked after this, the use the gc docs name. Not in main(): tests and
+    # perfbench's tracer call it in-process, and a freeze there would pin
+    # every cycle their process holds for the rest of its life.
+    gc.freeze()
     sys.exit(main())
 
 

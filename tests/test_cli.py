@@ -621,6 +621,40 @@ def test_benchmark_workloads_keep_their_digests(capsys):
         assert digest.hexdigest() == workload.digest, workload.name
 
 
+def test_the_entry_point_writes_the_benchmark_digests():
+    # the same digests through the process entry point, started as the
+    # benchmark starts it: what entry() does before and after main() (the
+    # heap freeze, the exit) must leave the bytes and the exit code alone
+    root = Path(__file__).resolve().parent.parent
+    workloads = runpy.run_path(str(root / "perfbench" / "workloads.py"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for workload in workloads["WORKLOADS"].values():
+        digest = hashlib.sha256()
+        for invocation in workload.invocations:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from menon.cli import entry; entry()", *invocation.args()],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, b""), invocation.label()
+            digest.update(proc.stdout)
+        assert digest.hexdigest() == workload.digest, workload.name
+
+
+def test_only_the_process_entry_point_freezes_the_heap(capsys, monkeypatch):
+    # main() is called in-process by tests and the tracer, so it must leave
+    # the heap unfrozen; entry() freezes before it calls main()
+    try:
+        assert main(["tau", "--n", "1..3", "--r", "2"]) == EXIT_OK
+        assert gc.get_freeze_count() == 0
+        monkeypatch.setattr(cli, "main", gc.get_freeze_count)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code > 0
+    finally:
+        gc.unfreeze()
+
+
 # --- the per-invocation tau_r table -----------------------------------------------
 
 
